@@ -1,5 +1,6 @@
 type t = {
   sets : int;
+  set_mask : int; (* sets - 1 when sets is a power of two, else -1 *)
   ways : int;
   tags : int array; (* line index, or -1 when the way is empty *)
   states : Mesi.t array;
@@ -15,6 +16,7 @@ let create ~size ~ways ~line =
   let sets = lines / ways in
   {
     sets;
+    set_mask = (if Jord_util.Bits.is_power_of_two sets then sets - 1 else -1);
     ways;
     tags = Array.make lines (-1);
     states = Array.make lines Mesi.Invalid;
@@ -25,81 +27,86 @@ let create ~size ~ways ~line =
 
 let sets t = t.sets
 let ways t = t.ways
-let set_of t line = (abs line) mod t.sets
-let slot t set way = (set * t.ways) + way
 
+let set_of t line =
+  if t.set_mask >= 0 then abs line land t.set_mask else abs line mod t.sets
+
+(* Slot holding [line], or -1. *)
 let find_way t line =
-  let set = set_of t line in
-  let rec go w =
-    if w = t.ways then None
-    else
-      let i = slot t set w in
-      if t.tags.(i) = line && t.states.(i) <> Mesi.Invalid then Some i else go (w + 1)
-  in
-  go 0
+  let base = set_of t line * t.ways in
+  let stop = base + t.ways in
+  let i = ref base in
+  while !i < stop && not (t.tags.(!i) = line && t.states.(!i) <> Mesi.Invalid) do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 let touch t i =
   t.tick <- t.tick + 1;
   t.lru.(i) <- t.tick
 
 let lookup t line =
-  match find_way t line with
-  | Some i ->
-      touch t i;
-      Some t.states.(i)
-  | None -> None
+  let i = find_way t line in
+  if i < 0 then Mesi.Invalid
+  else begin
+    touch t i;
+    t.states.(i)
+  end
 
 let peek t line =
-  match find_way t line with Some i -> Some t.states.(i) | None -> None
+  let i = find_way t line in
+  if i < 0 then Mesi.Invalid else t.states.(i)
 
 let set_state t line state =
-  match find_way t line with
-  | Some i ->
-      if state = Mesi.Invalid then begin
-        t.tags.(i) <- -1;
-        t.valid <- t.valid - 1
-      end;
-      t.states.(i) <- state
-  | None -> ()
+  let i = find_way t line in
+  if i >= 0 then begin
+    if state = Mesi.Invalid then begin
+      t.tags.(i) <- -1;
+      t.valid <- t.valid - 1
+    end;
+    t.states.(i) <- state
+  end
 
+(* Prefer an empty way; otherwise evict the least recently used. *)
 let victim_way t set =
-  (* Prefer an empty way; otherwise evict the least recently used. *)
   let best = ref (-1) and best_lru = ref max_int and empty = ref (-1) in
   for w = 0 to t.ways - 1 do
-    let i = slot t set w in
+    let i = (set * t.ways) + w in
     if t.states.(i) = Mesi.Invalid then (if !empty < 0 then empty := i)
     else if t.lru.(i) < !best_lru then begin
       best := i;
       best_lru := t.lru.(i)
     end
   done;
-  if !empty >= 0 then (!empty, None)
-  else (!best, Some (t.tags.(!best), t.states.(!best)))
+  if !empty >= 0 then !empty else !best
 
 let insert t line state =
   if state = Mesi.Invalid then invalid_arg "Cache.insert: Invalid";
-  match find_way t line with
-  | Some i ->
-      t.states.(i) <- state;
-      touch t i;
-      None
-  | None ->
-      let set = set_of t line in
-      let i, evicted = victim_way t set in
-      (match evicted with Some _ -> () | None -> t.valid <- t.valid + 1);
-      t.tags.(i) <- line;
-      t.states.(i) <- state;
-      touch t i;
-      evicted
+  let i = find_way t line in
+  if i >= 0 then begin
+    t.states.(i) <- state;
+    touch t i;
+    -1
+  end
+  else begin
+    let i = victim_way t (set_of t line) in
+    let evicted = if t.states.(i) = Mesi.Invalid then -1 else t.tags.(i) in
+    if evicted < 0 then t.valid <- t.valid + 1;
+    t.tags.(i) <- line;
+    t.states.(i) <- state;
+    touch t i;
+    evicted
+  end
 
 let invalidate t line =
-  match find_way t line with
-  | Some i ->
-      t.tags.(i) <- -1;
-      t.states.(i) <- Mesi.Invalid;
-      t.valid <- t.valid - 1;
-      true
-  | None -> false
+  let i = find_way t line in
+  if i < 0 then false
+  else begin
+    t.tags.(i) <- -1;
+    t.states.(i) <- Mesi.Invalid;
+    t.valid <- t.valid - 1;
+    true
+  end
 
 let count_valid t = t.valid
 

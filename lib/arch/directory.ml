@@ -5,32 +5,39 @@ type entry = {
   home : int; (* LLC slice homing the line (first-touch NUMA placement) *)
 }
 
-type t = { cores : int; table : (int, entry) Hashtbl.t }
+(* Nothing iterates the table, so a cheap multiplicative mix replaces the
+   generic hash: bucket order never reaches an output. *)
+module Lines = Hashtbl.Make (struct
+  type t = int
 
-let create ~cores = { cores; table = Hashtbl.create 4096 }
-let find t line = Hashtbl.find_opt t.table line
+  let equal = Int.equal
 
-let find_or_add t line ~home =
-  match Hashtbl.find_opt t.table line with
-  | Some e -> e
-  | None ->
-      let e =
-        { sharers = Jord_util.Bitset.create t.cores; owner = -1; in_llc = false; home }
-      in
-      Hashtbl.add t.table line e;
-      e
+  let hash line =
+    let h = line * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 29)
+end)
 
-let sharers t line =
-  match find t line with
-  | None -> []
-  | Some e -> Jord_util.Bitset.to_list e.sharers
+type t = { cores : int; table : entry Lines.t }
+
+let create ~cores = { cores; table = Lines.create 4096 }
+let find t line = Lines.find t.table line
+
+let add t line ~home =
+  let e =
+    { sharers = Jord_util.Bitset.create t.cores; owner = -1; in_llc = false; home }
+  in
+  Lines.add t.table line e;
+  e
+
+let set_owner t line core =
+  match find t line with e -> e.owner <- core | exception Not_found -> ()
 
 let drop_core t line core =
   match find t line with
-  | None -> ()
-  | Some e ->
+  | e ->
       Jord_util.Bitset.remove e.sharers core;
       if e.owner = core then e.owner <- -1
+  | exception Not_found -> ()
 
-let entries t = Hashtbl.length t.table
-let clear t = Hashtbl.reset t.table
+let entries t = Lines.length t.table
+let clear t = Lines.reset t.table

@@ -15,12 +15,16 @@ type entry = {
 type t
 
 val create : cores:int -> t
-val find : t -> int -> entry option
-val find_or_add : t -> int -> home:int -> entry
-(** [home] is recorded on creation only (first-touch NUMA placement). *)
+val find : t -> int -> entry
+(** @raise Not_found when the line has no entry. *)
 
-val sharers : t -> int -> int list
-(** All cores whose L1 may hold the line (owner included). *)
+val add : t -> int -> home:int -> entry
+(** Create the entry of a line that has none; [home] is its first-touch
+    NUMA placement. *)
+
+val set_owner : t -> int -> int -> unit
+(** [set_owner t line core] records [core] as the line's M/E holder; no-op
+    for a line without an entry. *)
 
 val drop_core : t -> int -> int -> unit
 (** [drop_core t line core] removes a core from the line's sharers (L1

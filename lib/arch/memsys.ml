@@ -14,6 +14,11 @@ type t = {
   l1 : Cache.t array;
   dir : Directory.t;
   stats : stats;
+  cores : int;
+  lat : Float.Array.t; (* Topology.latency_table *)
+  l1_ns : float;
+  llc_ns : float;
+  atomic_ns : float; (* serialization cost of a locked RMW *)
 }
 
 let create topo =
@@ -36,51 +41,55 @@ let create topo =
         upgrades = 0;
         invalidations = 0;
       };
+    cores = Topology.cores topo;
+    lat = Topology.latency_table topo;
+    l1_ns = Config.cycles_ns cfg cfg.Config.l1_latency;
+    llc_ns = Config.cycles_ns cfg cfg.Config.llc_latency;
+    atomic_ns = Config.cycles_ns cfg 4;
   }
 
 let topology t = t.topo
 let config t = t.cfg
 let stats t = t.stats
 let line_of t addr = addr / t.cfg.Config.line
-let l1_ns t = Config.cycles_ns t.cfg t.cfg.Config.l1_latency
-let llc_ns t = Config.cycles_ns t.cfg t.cfg.Config.llc_latency
-let lat t a b = Topology.latency_ns t.topo ~src:a ~dst:b
+let lat t a b = Float.Array.get t.lat ((a * t.cores) + b)
 
-(* Invalidate the line in every sharer's L1 except [keep]. Invalidations are
-   sent in parallel from the home slice; the cost is the round trip to the
-   farthest sharer. *)
+(* The line's directory entry, created homed at first touch. *)
+let entry t ~core ~line ~addr =
+  match Directory.find t.dir line with
+  | e -> e
+  | exception Not_found ->
+      Directory.add t.dir line ~home:(Topology.slice_of_line t.topo ~requester:core addr)
+
+(* Invalidate the line in every sharer's L1 except [keep], in ascending core
+   order. Invalidations are sent in parallel from the home slice; the cost
+   is the round trip to the farthest sharer. *)
 let invalidate_sharers t entry line ~home ~keep =
+  let sharers = entry.Directory.sharers in
   let worst = ref 0.0 in
-  let victims = Jord_util.Bitset.to_list entry.Directory.sharers in
-  List.iter
-    (fun core ->
-      if core <> keep then begin
-        ignore (Cache.invalidate t.l1.(core) line);
-        Jord_util.Bitset.remove entry.Directory.sharers core;
-        if entry.Directory.owner = core then entry.Directory.owner <- -1;
-        t.stats.invalidations <- t.stats.invalidations + 1;
-        let d = 2.0 *. lat t home core in
-        if d > !worst then worst := d
-      end)
-    victims;
+  let core = ref (Jord_util.Bitset.next_set sharers 0) in
+  while !core >= 0 do
+    let c = !core in
+    if c <> keep then begin
+      ignore (Cache.invalidate t.l1.(c) line);
+      Jord_util.Bitset.remove sharers c;
+      if entry.Directory.owner = c then entry.Directory.owner <- -1;
+      t.stats.invalidations <- t.stats.invalidations + 1;
+      let d = 2.0 *. lat t home c in
+      if d > !worst then worst := d
+    end;
+    core := Jord_util.Bitset.next_set sharers (c + 1)
+  done;
   !worst
-
-(* Handle an L1 eviction: tell the directory the core no longer holds it. *)
-let note_eviction t core = function
-  | None -> ()
-  | Some (line, _state) -> Directory.drop_core t.dir line core
 
 (* Fetch a line into [core]'s L1 with the desired state, accounting for the
    directory lookup at the home slice, remote-owner forwarding, LLC presence
    and DRAM cold fills. Returns latency. *)
 let fill t ~core ~line ~addr ~exclusive =
   t.stats.l1_misses <- t.stats.l1_misses + 1;
-  let entry =
-    Directory.find_or_add t.dir line
-      ~home:(Topology.slice_of_line t.topo ~requester:core addr)
-  in
+  let entry = entry t ~core ~line ~addr in
   let home = entry.Directory.home in
-  let base = l1_ns t +. (2.0 *. lat t core home) +. llc_ns t in
+  let base = t.l1_ns +. (2.0 *. lat t core home) +. t.llc_ns in
   let owner = entry.Directory.owner in
   let extra =
     if owner >= 0 && owner <> core then begin
@@ -119,7 +128,9 @@ let fill t ~core ~line ~addr ~exclusive =
     else if Jord_util.Bitset.is_empty entry.Directory.sharers then Mesi.Exclusive
     else Mesi.Shared
   in
-  note_eviction t core (Cache.insert t.l1.(core) line state);
+  (* An L1 eviction tells the directory the core no longer holds the line. *)
+  let evicted = Cache.insert t.l1.(core) line state in
+  if evicted >= 0 then Directory.drop_core t.dir evicted core;
   Jord_util.Bitset.add entry.Directory.sharers core;
   if exclusive then entry.Directory.owner <- core
   else if state = Mesi.Exclusive then entry.Directory.owner <- core;
@@ -128,40 +139,33 @@ let fill t ~core ~line ~addr ~exclusive =
 let read t ~core ~addr =
   let line = line_of t addr in
   match Cache.lookup t.l1.(core) line with
-  | Some state when Mesi.can_read state ->
+  | Mesi.Modified | Mesi.Exclusive | Mesi.Shared ->
       t.stats.l1_hits <- t.stats.l1_hits + 1;
-      l1_ns t
-  | Some _ | None -> fill t ~core ~line ~addr ~exclusive:false
+      t.l1_ns
+  | Mesi.Invalid -> fill t ~core ~line ~addr ~exclusive:false
 
 let write t ~core ~addr =
   let line = line_of t addr in
   match Cache.lookup t.l1.(core) line with
-  | Some state when Mesi.can_write state ->
+  | Mesi.Modified | Mesi.Exclusive ->
       t.stats.l1_hits <- t.stats.l1_hits + 1;
       Cache.set_state t.l1.(core) line Mesi.Modified;
-      (match Directory.find t.dir line with
-      | Some e -> e.Directory.owner <- core
-      | None -> ());
-      l1_ns t
-  | Some Mesi.Shared ->
+      Directory.set_owner t.dir line core;
+      t.l1_ns
+  | Mesi.Shared ->
       (* Upgrade: request ownership from home, invalidate other sharers. *)
       t.stats.upgrades <- t.stats.upgrades + 1;
-      let entry =
-        Directory.find_or_add t.dir line
-          ~home:(Topology.slice_of_line t.topo ~requester:core addr)
-      in
+      let entry = entry t ~core ~line ~addr in
       let home = entry.Directory.home in
       let inval = invalidate_sharers t entry line ~home ~keep:core in
       Cache.set_state t.l1.(core) line Mesi.Modified;
       entry.Directory.owner <- core;
       Jord_util.Bitset.add entry.Directory.sharers core;
-      l1_ns t +. (2.0 *. lat t core home) +. inval
-  | Some (Mesi.Modified | Mesi.Exclusive | Mesi.Invalid) | None ->
-      fill t ~core ~line ~addr ~exclusive:true
+      t.l1_ns +. (2.0 *. lat t core home) +. inval
+  | Mesi.Invalid -> fill t ~core ~line ~addr ~exclusive:true
 
-let atomic t ~core ~addr =
-  (* Locked RMW: ownership acquisition plus pipeline serialization. *)
-  write t ~core ~addr +. Config.cycles_ns t.cfg 4
+(* Locked RMW: ownership acquisition plus pipeline serialization. *)
+let atomic t ~core ~addr = write t ~core ~addr +. t.atomic_ns
 
 let read_block t ~core ~addr ~bytes =
   if bytes <= 0 then 0.0
@@ -199,12 +203,12 @@ let register_metrics t ?(labels = []) reg =
   c "jord_mem_invalidations_total" "Remote L1 lines invalidated" [] (fun () ->
       float_of_int s.invalidations)
 
-let sharers t ~addr = Directory.sharers t.dir (line_of t addr)
+let no_sharers = Jord_util.Bitset.create 1
+
+let sharers t ~addr =
+  match Directory.find t.dir (line_of t addr) with
+  | e -> e.Directory.sharers
+  | exception Not_found -> no_sharers
 
 let home_of t ~addr ~requester =
-  let line = line_of t addr in
-  let entry =
-    Directory.find_or_add t.dir line
-      ~home:(Topology.slice_of_line t.topo ~requester addr)
-  in
-  entry.Directory.home
+  (entry t ~core:requester ~line:(line_of t addr) ~addr).Directory.home

@@ -46,10 +46,11 @@ val register_metrics :
     pull collectors over {!stats}; [labels] (e.g. a server id) are
     prepended to every instance. Zero hot-path cost. *)
 
-val sharers : t -> addr:int -> int list
+val sharers : t -> addr:int -> Jord_util.Bitset.t
 (** Cores whose L1 may hold the address' line — the directory's view, used by
     the VTD when it must fall back on the coherence directory (victim-cache
-    behaviour, paper §4.2). *)
+    behaviour, paper §4.2). The set is read in place (empty for an untouched
+    line): callers must not mutate it, and it changes with later accesses. *)
 
 val line_of : t -> int -> int
 (** Line index of a byte address. *)

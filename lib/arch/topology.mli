@@ -26,6 +26,11 @@ val latency_ns : t -> src:int -> dst:int -> float
 (** One-way message latency between two cores' tiles, including the
     inter-socket link when they live on different sockets. *)
 
+val latency_table : t -> Float.Array.t
+(** Every {!latency_ns}, precomputed at {!create}: entry [src * cores + dst].
+    Per-access paths index it directly instead of calling {!latency_ns},
+    whose float result is boxed across the module boundary. Read-only. *)
+
 val slice_of_line : t -> ?requester:int -> int -> int
 (** Home core/tile (slice index) of a physical byte address. Lines are
     interleaved at cache-line granularity across the tiles of one socket:

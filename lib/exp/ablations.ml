@@ -84,7 +84,7 @@ let sub_array_overflow () =
       for pd = 1 to sharers do
         Vm.Vte.set_perm vte ~pd Vm.Perm.rw
       done;
-      ignore (Vm.Vma_store.insert (Vm.Hw.store hw) vte);
+      Vm.Vma_store.insert (Vm.Hw.store hw) vte;
       let mmu = Vm.Hw.mmu hw ~core:0 in
       (* Measure a warm translate as the LAST-added PD (worst position). *)
       Vm.Mmu.set_ucid mmu sharers;
@@ -92,7 +92,7 @@ let sub_array_overflow () =
       let acc = ref 0.0 in
       let n = 200 in
       for _ = 1 to n do
-        let _, lat = Vm.Hw.translate hw ~core:0 ~va:base ~access:Vm.Perm.Read ~kind:`Data in
+        let lat = Vm.Hw.translate hw ~core:0 ~va:base ~access:Vm.Perm.Read ~kind:`Data in
         acc := !acc +. lat
       done;
       Vm.Mmu.set_ucid mmu 0;
@@ -112,8 +112,8 @@ let vtd_fallback ~sets ~live_vtes =
   let fallback = ref 0 in
   for i = 0 to live_vtes - 1 do
     match Vm.Vtd.sharers vtd ~vte_addr:(i * 64) with
-    | `Tracked _ -> ()
-    | `Untracked -> incr fallback
+    | (_ : Jord_util.Bitset.t) -> ()
+    | exception Not_found -> incr fallback
   done;
   float_of_int !fallback /. float_of_int live_vtes
 

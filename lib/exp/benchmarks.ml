@@ -79,9 +79,10 @@ let vm ~quick =
   in
   let plain = Jord_vm.Vma_table.create cfg in
   let btree = Jord_vm.Vma_btree.create () in
+  let fp = Jord_vm.Footprint.create () in
   for i = 0 to 999 do
-    ignore (Jord_vm.Vma_table.insert plain (mk_vte i));
-    ignore (Jord_vm.Vma_btree.insert btree (mk_vte i))
+    Jord_vm.Vma_table.insert plain fp (mk_vte i);
+    Jord_vm.Vma_btree.insert btree fp (mk_vte i)
   done;
   let probe = Jord_vm.Vte.base (mk_vte 500) + 64 in
   let vlb = Jord_vm.Vlb.create ~entries:16 in
@@ -92,6 +93,20 @@ let vm ~quick =
   let memsys =
     Jord_arch.Memsys.create (Jord_arch.Topology.create Jord_arch.Config.default)
   in
+  (* A whole machine for the translated-access path: one live VMA whose
+     translation stays in core 0's D-VLB after the first access. *)
+  let hw =
+    Jord_vm.Hw.create
+      ~memsys:(Jord_arch.Memsys.create (Jord_arch.Topology.create Jord_arch.Config.default))
+      ~store:(Jord_vm.Vma_store.plain cfg) ~va_cfg:cfg ()
+  in
+  let priv = Jord_privlib.Privlib.create ~hw ~os:(Jord_privlib.Os_facade.create ()) in
+  let hw_va, _ = Jord_privlib.Privlib.mmap priv ~core:0 ~bytes:4096 ~perm:Jord_vm.Perm.rw () in
+  let memsys_read_hit () = ignore (Jord_arch.Memsys.read memsys ~core:0 ~addr:0x4000) in
+  let hw_access_vlb_hit () =
+    ignore
+      (Jord_vm.Hw.access hw ~core:0 ~va:hw_va ~access:Jord_vm.Perm.Read ~kind:`Data ~bytes:64)
+  in
   let iters = if quick then 50_000 else 200_000 in
   let r = reps quick in
   let t name f = B.metric ~name ~unit_:"ns/op" (time_ns ~reps:r ~iters f) in
@@ -101,13 +116,17 @@ let vm ~quick =
       [
         t "vlb_lookup" (fun () -> ignore (Jord_vm.Vlb.lookup vlb ~va:vlb_probe));
         t "vma_plain_lookup" (fun () ->
-            ignore (Jord_vm.Vma_table.lookup plain ~va:probe));
+            ignore (Jord_vm.Vma_table.lookup plain fp ~va:probe));
         t "vma_btree_lookup" (fun () ->
-            ignore (Jord_vm.Vma_btree.lookup btree ~va:probe));
-        t "memsys_read_hit" (fun () ->
-            ignore (Jord_arch.Memsys.read memsys ~core:0 ~addr:0x4000));
+            ignore (Jord_vm.Vma_btree.lookup btree fp ~va:probe));
+        t "memsys_read_hit" memsys_read_hit;
         B.count ~tolerance:det_tol ~name:"btree_rebalances_1k" ~unit_:"ops"
           (float_of_int (Jord_vm.Vma_btree.rebalance_ops btree));
+        B.count ~tolerance:alloc_tol ~name:"memsys_read_hit_minor_words" ~unit_:"words/op"
+          (minor_words ~iters:2_000 memsys_read_hit);
+        B.count ~tolerance:alloc_tol ~name:"hw_access_vlb_hit_minor_words"
+          ~unit_:"words/op"
+          (minor_words ~iters:2_000 hw_access_vlb_hit);
       ];
   }
 
@@ -117,10 +136,14 @@ let server ~quick =
   let config = Exp_common.config_for Jord_faas.Variant.Jord in
   let duration_us = if quick then 800.0 else 2500.0 in
   let t0 = Unix.gettimeofday () in
+  (* Minor words from the built server's first event to the end of the run. *)
+  let w0 = ref 0.0 in
   let server, recorder =
-    Jord_workloads.Loadgen.run ~warmup:200 ~app:Jord_workloads.Hipster.app ~config
-      ~rate_mrps:4.0 ~duration_us ()
+    Jord_workloads.Loadgen.run ~warmup:200
+      ~on_server:(fun _ -> w0 := Gc.minor_words ())
+      ~app:Jord_workloads.Hipster.app ~config ~rate_mrps:4.0 ~duration_us ()
   in
+  let words = Gc.minor_words () -. !w0 in
   let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
   let events = Jord_sim.Engine.processed (Jord_faas.Server.engine server) in
   let open Jord_metrics.Recorder in
@@ -135,6 +158,8 @@ let server ~quick =
         B.count ~tolerance:det_tol ~name:"throughput" ~unit_:"mrps"
           (throughput_mrps recorder);
         B.count ~tolerance:det_tol ~name:"p99" ~unit_:"us" (p99_us recorder);
+        B.count ~tolerance:alloc_tol ~name:"minor_words_per_event" ~unit_:"words/event"
+          (words /. float_of_int (Int.max 1 events));
         B.metric ~name:"wall_per_event" ~unit_:"ns/event"
           [ wall_ns /. float_of_int (Int.max 1 events) ];
       ];

@@ -14,6 +14,9 @@ type ctx = {
   memsys : Jord_arch.Memsys.t;
   hw : Jord_vm.Hw.t;
   rt : Runtime.t;
+  cost : Runtime.cost;
+      (** Scratch every [Runtime] step overwrites; folded into the request
+          ledger right after the step. *)
   app : Model.app;
   prng : Jord_util.Prng.t;
   core_busy_ps : float array;
@@ -216,7 +219,8 @@ and start_request ctx e req ~deq_ns =
         then begin
           Hashtbl.remove ctx.cold_fns req.Request.fn_name;
           ctx.cold_starts <- ctx.cold_starts + 1;
-          let c = Runtime.rewarm ctx.rt ~core:e.core ~fn in
+          let c = ctx.cost in
+          Runtime.rewarm ctx.rt ~core:e.core ~fn c;
           add_cost acct c;
           Runtime.total c
         end
@@ -224,11 +228,13 @@ and start_request ctx e req ~deq_ns =
       in
       trace ctx ~kind:Trace.Start ~req ~core:e.core
         ?detail:(if cold_ns > 0.0 then Some "cold" else None) ();
-      let pd, state_va, cost =
+      let cost = ctx.cost in
+      let pd, state_va =
         Runtime.setup ctx.rt ~core:e.core ~fn ~argbuf:req.Request.argbuf
-          ~arg_bytes:req.Request.arg_bytes
+          ~arg_bytes:req.Request.arg_bytes cost
       in
       add_cost acct cost;
+      let setup_ns = Runtime.total cost in
       (* Injected anomalies: a transient stall before the first segment and
          a PrivLib slowdown scaling the setup's cost. Zero when no plan. *)
       let fault_ns =
@@ -239,11 +245,11 @@ and start_request ctx e req ~deq_ns =
             if stall > 0.0 then ctx.stalls <- ctx.stalls + 1;
             let factor = Jord_fault_inject.Injector.draw_slow_factor inj in
             let slow =
-              if factor > 1.0 then (factor -. 1.0) *. Runtime.total cost else 0.0
+              if factor > 1.0 then (factor -. 1.0) *. setup_ns else 0.0
             in
             if slow > 0.0 then begin
               ctx.slowdowns <- ctx.slowdowns + 1;
-              add_cost acct { Runtime.isolation_ns = slow; comm_ns = 0.0 }
+              acct.Request.isolation_ns <- acct.Request.isolation_ns +. slow
             end;
             stall +. slow
       in
@@ -257,7 +263,7 @@ and start_request ctx e req ~deq_ns =
           ~pd ~state_va ~home:e
       in
       Hashtbl.replace ctx.conts cid cont;
-      advance ctx e cont ~dt0:(Runtime.total cost +. deq_ns +. fault_ns +. cold_ns)
+      advance ctx e cont ~dt0:(setup_ns +. deq_ns +. fault_ns +. cold_ns)
 
 (* An injected executor crash at invocation start: the fault hits after
    setup, the runtime rolls the PD back Groundhog-style (ArgBuf preserved),
@@ -269,17 +275,17 @@ and crash_request ctx e inj req ~deq_ns =
   ctx.crashes <- ctx.crashes + 1;
   let acct = req.Request.acct in
   let fn = Model.find_fn ctx.app req.Request.fn_name in
-  let pd, state_va, cost =
+  let c = ctx.cost in
+  let pd, state_va =
     Runtime.setup ctx.rt ~core:e.core ~fn ~argbuf:req.Request.argbuf
-      ~arg_bytes:req.Request.arg_bytes
+      ~arg_bytes:req.Request.arg_bytes c
   in
-  add_cost acct cost;
-  let ab =
-    Runtime.abort ctx.rt ~core:e.core ~fn ~pd ~state_va ~argbuf:req.Request.argbuf
-  in
-  add_cost acct ab;
+  add_cost acct c;
+  let setup_ns = Runtime.total c in
+  Runtime.abort ctx.rt ~core:e.core ~fn ~pd ~state_va ~argbuf:req.Request.argbuf c;
+  add_cost acct c;
   acct.Request.comm_ns <- acct.Request.comm_ns +. deq_ns;
-  let dt = deq_ns +. Runtime.total cost +. Runtime.total ab in
+  let dt = deq_ns +. setup_ns +. Runtime.total c in
   trace ctx ~kind:Trace.Crash ~req ~core:e.core ~dur_ns:dt
     ~stall_ns:(stall_take ctx) ~detail:"executor" ();
   charge_core ctx e.core dt;
@@ -326,17 +332,17 @@ and crash_server ctx e inj req ~deq_ns =
   ctx.server_crashes <- ctx.server_crashes + 1;
   let acct = req.Request.acct in
   let fn = Model.find_fn ctx.app req.Request.fn_name in
-  let pd, state_va, cost =
+  let c = ctx.cost in
+  let pd, state_va =
     Runtime.setup ctx.rt ~core:e.core ~fn ~argbuf:req.Request.argbuf
-      ~arg_bytes:req.Request.arg_bytes
+      ~arg_bytes:req.Request.arg_bytes c
   in
-  add_cost acct cost;
-  let ab =
-    Runtime.abort ctx.rt ~core:e.core ~fn ~pd ~state_va ~argbuf:req.Request.argbuf
-  in
-  add_cost acct ab;
+  add_cost acct c;
+  let setup_ns = Runtime.total c in
+  Runtime.abort ctx.rt ~core:e.core ~fn ~pd ~state_va ~argbuf:req.Request.argbuf c;
+  add_cost acct c;
   acct.Request.comm_ns <- acct.Request.comm_ns +. deq_ns;
-  let dt = deq_ns +. Runtime.total cost +. Runtime.total ab in
+  let dt = deq_ns +. setup_ns +. Runtime.total c in
   trace ctx ~kind:Trace.Crash ~req ~core:e.core ~dur_ns:dt
     ~stall_ns:(stall_take ctx) ~detail:"server" ();
   charge_core ctx e.core dt;
@@ -396,17 +402,17 @@ and abort_cont ctx (cont : t Continuation.t) ~reboot =
   cont.Continuation.status <- Continuation.Aborted;
   Hashtbl.remove ctx.conts cont.Continuation.cid;
   ctx.live_conts <- ctx.live_conts - 1;
+  let c = ctx.cost in
   List.iter
     (fun (va, bytes) ->
-      if va <> 0 then
-        add_cost acct (Runtime.release_argbuf ctx.rt ~core:e.core ~va ~bytes))
+      if va <> 0 then begin
+        Runtime.release_argbuf ctx.rt ~core:e.core ~va ~bytes c;
+        add_cost acct c
+      end)
     (Continuation.take_reaps cont);
-  let ab =
-    Runtime.abort ctx.rt ~core:e.core ~fn:cont.Continuation.fn
-      ~pd:cont.Continuation.pd ~state_va:cont.Continuation.state_va
-      ~argbuf:req.Request.argbuf
-  in
-  add_cost acct ab;
+  Runtime.abort ctx.rt ~core:e.core ~fn:cont.Continuation.fn ~pd:cont.Continuation.pd
+    ~state_va:cont.Continuation.state_va ~argbuf:req.Request.argbuf c;
+  add_cost acct c;
   if req.Request.on_complete = None || req.Request.forwarded then begin
     (* Entry request: re-execute from its preserved ArgBuf after boot. *)
     ctx.recovered <- ctx.recovered + 1;
@@ -416,9 +422,9 @@ and abort_cont ctx (cont : t Continuation.t) ~reboot =
   else if req.Request.argbuf <> 0 then begin
     (* Local child: its re-executed parent re-invokes it; drop this
        instance and release its input buffer. *)
-    add_cost acct
-      (Runtime.release_argbuf ctx.rt ~core:e.core ~va:req.Request.argbuf
-         ~bytes:req.Request.arg_bytes);
+    Runtime.release_argbuf ctx.rt ~core:e.core ~va:req.Request.argbuf
+      ~bytes:req.Request.arg_bytes c;
+    add_cost acct c;
     req.Request.argbuf <- 0
   end
 
@@ -430,16 +436,15 @@ and resume_cont ctx e (cont : t Continuation.t) =
   cont.Continuation.status <- Continuation.Running;
   let acct = cont.Continuation.req.Request.acct in
   (* Reap completed children executor-side (PD 0) before re-entering. *)
+  let c = ctx.cost in
   let dt = ref 0.0 in
   List.iter
     (fun (va, bytes) ->
-      let c =
-        Runtime.reap_argbuf ctx.rt ~core:e.core ~pd:cont.Continuation.pd ~va ~bytes
-      in
+      Runtime.reap_argbuf ctx.rt ~core:e.core ~pd:cont.Continuation.pd ~va ~bytes c;
       add_cost acct c;
       dt := !dt +. Runtime.total c)
     (Continuation.take_reaps cont);
-  let c = Runtime.resume ctx.rt ~core:e.core ~pd:cont.Continuation.pd in
+  Runtime.resume ctx.rt ~core:e.core ~pd:cont.Continuation.pd c;
   add_cost acct c;
   advance ctx e cont ~dt0:(!dt +. Runtime.total c)
 
@@ -448,6 +453,7 @@ and resume_cont ctx e (cont : t Continuation.t) =
 and advance ctx e (cont : t Continuation.t) ~dt0 =
   let now = Engine.now ctx.engine in
   let acct = cont.Continuation.req.Request.acct in
+  let c = ctx.cost in
   let dt = ref dt0 in
   let finished = ref false in
   let suspended = ref false in
@@ -460,24 +466,28 @@ and advance ctx e (cont : t Continuation.t) ~dt0 =
     | Model.Compute ns :: rest ->
         cont.Continuation.phases <- rest;
         acct.Request.exec_ns <- acct.Request.exec_ns +. ns;
-        let c =
-          Runtime.touch_working_set ctx.rt ~core:e.core ~pd:cont.Continuation.pd
-            ~fn:cont.Continuation.fn ~state_va:cont.Continuation.state_va
-        in
+        Runtime.touch_working_set ctx.rt ~core:e.core ~pd:cont.Continuation.pd
+          ~fn:cont.Continuation.fn ~state_va:cont.Continuation.state_va c;
         add_cost acct c;
         dt := !dt +. ns +. Runtime.total c
     | Model.Invoke { target; arg_bytes; mode; cookie } :: rest ->
         cont.Continuation.phases <- rest;
-        let va, c1 = Runtime.make_argbuf ctx.rt ~core:e.core ~bytes:arg_bytes in
-        let c2 = Runtime.invoke_send ctx.rt ~core:e.core ~bytes:arg_bytes in
+        (* Three steps folded as one: their isolation and data-movement
+           sums are formed first, then added to the ledger. *)
+        let va = Runtime.make_argbuf ctx.rt ~core:e.core ~bytes:arg_bytes c in
+        let iso1 = c.Runtime.isolation_ns and comm1 = c.Runtime.comm_ns in
+        let total1 = Runtime.total c in
+        Runtime.invoke_send ctx.rt ~core:e.core ~bytes:arg_bytes c;
+        let iso2 = c.Runtime.isolation_ns and comm2 = c.Runtime.comm_ns in
+        let total2 = Runtime.total c in
         (* Returning from the runtime's call gates refetches the caller's
            code region (I-VLB pressure on tiny VLBs). *)
-        let c3 =
-          Runtime.touch_working_set ctx.rt ~core:e.core ~pd:cont.Continuation.pd
-            ~fn:cont.Continuation.fn ~state_va:cont.Continuation.state_va
-        in
-        add_cost acct (Runtime.( ++ ) (Runtime.( ++ ) c1 c2) c3);
-        dt := !dt +. Runtime.total c1 +. Runtime.total c2 +. Runtime.total c3;
+        Runtime.touch_working_set ctx.rt ~core:e.core ~pd:cont.Continuation.pd
+          ~fn:cont.Continuation.fn ~state_va:cont.Continuation.state_va c;
+        acct.Request.isolation_ns <-
+          acct.Request.isolation_ns +. (iso1 +. iso2 +. c.Runtime.isolation_ns);
+        acct.Request.comm_ns <- acct.Request.comm_ns +. (comm1 +. comm2 +. c.Runtime.comm_ns);
+        dt := !dt +. total1 +. total2 +. Runtime.total c;
         let child =
           Request.make_child ~id:(fresh_req_id ctx) ~parent:cont.Continuation.req
             ~fn_name:target ~arg_bytes
@@ -498,7 +508,7 @@ and advance ctx e (cont : t Continuation.t) ~dt0 =
         | Model.Async -> ()
         | Model.Sync ->
             cont.Continuation.wait <- Continuation.For_child child.Request.id;
-            let c = Runtime.suspend ctx.rt ~core:e.core ~pd:cont.Continuation.pd in
+            Runtime.suspend ctx.rt ~core:e.core ~pd:cont.Continuation.pd c;
             add_cost acct c;
             dt := !dt +. Runtime.total c;
             suspended := true;
@@ -508,7 +518,7 @@ and advance ctx e (cont : t Continuation.t) ~dt0 =
         else begin
           cont.Continuation.phases <- rest;
           cont.Continuation.wait <- Continuation.For_all;
-          let c = Runtime.suspend ctx.rt ~core:e.core ~pd:cont.Continuation.pd in
+          Runtime.suspend ctx.rt ~core:e.core ~pd:cont.Continuation.pd c;
           add_cost acct c;
           dt := !dt +. Runtime.total c;
           suspended := true;
@@ -520,14 +530,14 @@ and advance ctx e (cont : t Continuation.t) ~dt0 =
         | None -> ()
         | Some child_id ->
             cont.Continuation.wait <- Continuation.For_child child_id;
-            let c = Runtime.suspend ctx.rt ~core:e.core ~pd:cont.Continuation.pd in
+            Runtime.suspend ctx.rt ~core:e.core ~pd:cont.Continuation.pd c;
             add_cost acct c;
             dt := !dt +. Runtime.total c;
             suspended := true;
             continue := false)
     | Model.Scratch bytes :: rest ->
         cont.Continuation.phases <- rest;
-        let c = Runtime.scratch ctx.rt ~core:e.core ~bytes in
+        Runtime.scratch ctx.rt ~core:e.core ~bytes c;
         add_cost acct c;
         dt := !dt +. Runtime.total c
   done;
@@ -565,11 +575,9 @@ and finish_cont ctx e (cont : t Continuation.t) engine =
   let req = cont.Continuation.req in
   let root = req.Request.root in
   let acct = req.Request.acct in
-  let c =
-    Runtime.teardown ctx.rt ~core:e.core ~fn:cont.Continuation.fn
-      ~pd:cont.Continuation.pd ~state_va:cont.Continuation.state_va
-      ~argbuf:req.Request.argbuf
-  in
+  let c = ctx.cost in
+  Runtime.teardown ctx.rt ~core:e.core ~fn:cont.Continuation.fn ~pd:cont.Continuation.pd
+    ~state_va:cont.Continuation.state_va ~argbuf:req.Request.argbuf c;
   add_cost acct c;
   Hashtbl.remove ctx.conts cont.Continuation.cid;
   ctx.live_conts <- ctx.live_conts - 1;
@@ -703,9 +711,9 @@ let purge_request ctx e (req : Request.t) ~reboot =
     (uplink e).submit_internal ~at:reboot req
   end
   else if req.Request.argbuf <> 0 then begin
-    add_cost req.Request.acct
-      (Runtime.release_argbuf ctx.rt ~core:e.core ~va:req.Request.argbuf
-         ~bytes:req.Request.arg_bytes);
+    Runtime.release_argbuf ctx.rt ~core:e.core ~va:req.Request.argbuf
+      ~bytes:req.Request.arg_bytes ctx.cost;
+    add_cost req.Request.acct ctx.cost;
     req.Request.argbuf <- 0
   end
 

@@ -26,6 +26,9 @@ type ctx = {
   memsys : Jord_arch.Memsys.t;
   hw : Jord_vm.Hw.t;
   rt : Runtime.t;
+  cost : Runtime.cost;
+      (** Scratch every [Runtime] step overwrites; folded into the request
+          ledger right after the step. *)
   app : Model.app;
   prng : Jord_util.Prng.t;
   core_busy_ps : float array;

@@ -75,9 +75,8 @@ let pick_request (ctx : Executor.ctx) t =
         if req.Request.forwarded && req.Request.argbuf = 0 then begin
           (* Arrived from another server: land the payload in a local
              ArgBuf (network copy, no zero-copy across machines). *)
-          let va, c =
-            Runtime.external_input ctx.rt ~core:t.core ~bytes:req.Request.arg_bytes
-          in
+          let c = ctx.Executor.cost in
+          let va = Runtime.external_input ctx.rt ~core:t.core ~bytes:req.Request.arg_bytes c in
           req.Request.argbuf <- va;
           Executor.add_cost req.Request.acct c;
           let copy = Netmodel.copy_ns ctx.net ~bytes:req.Request.arg_bytes in
@@ -91,9 +90,8 @@ let pick_request (ctx : Executor.ctx) t =
         let req = Queue.pop t.external_q in
         let deq = Jord_arch.Memsys.read ctx.memsys ~core:t.core ~addr:t.ext_line in
         (* Materialize the external payload into an ArgBuf. *)
-        let va, c =
-          Runtime.external_input ctx.rt ~core:t.core ~bytes:req.Request.arg_bytes
-        in
+        let c = ctx.Executor.cost in
+        let va = Runtime.external_input ctx.rt ~core:t.core ~bytes:req.Request.arg_bytes c in
         req.Request.argbuf <- va;
         Executor.add_cost req.Request.acct c;
         Some (req, deq +. Runtime.total c)
@@ -140,7 +138,8 @@ let reclaim_argbufs (ctx : Executor.ctx) t n =
       | (va, bytes) :: rest ->
           t.reclaim <- rest;
           if va <> 0 then begin
-            let c = Runtime.release_argbuf ctx.Executor.rt ~core:t.core ~va ~bytes in
+            let c = ctx.Executor.cost in
+            Runtime.release_argbuf ctx.Executor.rt ~core:t.core ~va ~bytes c;
             ns := !ns +. Runtime.total c
           end;
           go (n - 1)

@@ -1,27 +1,32 @@
 module Vm = Jord_vm
 module Pl = Jord_privlib.Privlib
 
-type cost = { isolation_ns : float; comm_ns : float }
+(* All-float, so OCaml stores the fields unboxed and overwriting them
+   allocates nothing. *)
+type cost = { mutable isolation_ns : float; mutable comm_ns : float }
 
-let zero_cost = { isolation_ns = 0.0; comm_ns = 0.0 }
-
-let ( ++ ) a b =
-  { isolation_ns = a.isolation_ns +. b.isolation_ns; comm_ns = a.comm_ns +. b.comm_ns }
-
-let iso ns = { isolation_ns = ns; comm_ns = 0.0 }
-let comm ns = { isolation_ns = 0.0; comm_ns = ns }
+let cost () = { isolation_ns = 0.0; comm_ns = 0.0 }
 let total c = c.isolation_ns +. c.comm_ns
+
+let set c ~iso ~comm =
+  c.isolation_ns <- iso;
+  c.comm_ns <- comm
+
+let iso c ns = set c ~iso:ns ~comm:0.0
+let comm c ns = set c ~iso:0.0 ~comm:ns
+let zero c = set c ~iso:0.0 ~comm:0.0
 
 type t = {
   variant : Variant.t;
   hw : Vm.Hw.t;
   priv : Pl.t;
   nc : Jord_baseline.Nightcore.t;
-  code_vmas : (string, int) Hashtbl.t;
+  mutable code_vmas : (string * int) array;
+      (* Registered code VMAs, scanned by name: a handful of functions, so
+         a scan beats hashing the name on every setup and teardown. *)
 }
 
-let create ~variant ~hw ~priv ~nc =
-  { variant; hw; priv; nc; code_vmas = Hashtbl.create 16 }
+let create ~variant ~hw ~priv ~nc = { variant; hw; priv; nc; code_vmas = [||] }
 
 let variant t = t.variant
 let hw t = t.hw
@@ -29,31 +34,48 @@ let priv t = t.priv
 let nc t = t.nc
 let response_bytes = 256
 
+(* Slot of a registered function's code VMA, or -1. *)
+let code_slot t name =
+  let n = Array.length t.code_vmas in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let key = fst t.code_vmas.(!i) in
+    not (key == name || String.equal key name)
+  do
+    incr i
+  done;
+  if !i < n then !i else -1
+
 let register_function t ~core fn =
-  match t.variant with
-  | Variant.Nightcore -> Hashtbl.replace t.code_vmas fn.Model.name 0
-  | Variant.Jord | Variant.Jord_ni | Variant.Jord_bt ->
-      let global =
-        (* Without isolation, code is executable from everywhere. *)
-        if Variant.isolated t.variant then None else Some Vm.Perm.rx
-      in
-      let va, _ =
-        Pl.mmap t.priv ~core ~bytes:fn.Model.code_bytes ~perm:Vm.Perm.rx
-          ~global_perm:global ()
-      in
-      Hashtbl.replace t.code_vmas fn.Model.name va
+  let va =
+    match t.variant with
+    | Variant.Nightcore -> 0
+    | Variant.Jord | Variant.Jord_ni | Variant.Jord_bt ->
+        let global =
+          (* Without isolation, code is executable from everywhere. *)
+          if Variant.isolated t.variant then None else Some Vm.Perm.rx
+        in
+        fst
+          (Pl.mmap t.priv ~core ~bytes:fn.Model.code_bytes ~perm:Vm.Perm.rx
+             ~global_perm:global ())
+  in
+  let name = fn.Model.name in
+  let i = code_slot t name in
+  if i >= 0 then t.code_vmas.(i) <- (name, va)
+  else t.code_vmas <- Array.append t.code_vmas [| (name, va) |]
 
 let code_va t name =
-  match Hashtbl.find_opt t.code_vmas name with
-  | Some va -> va
-  | None -> invalid_arg (Printf.sprintf "Runtime.code_va: %S not registered" name)
+  let i = code_slot t name in
+  if i < 0 then invalid_arg (Printf.sprintf "Runtime.code_va: %S not registered" name);
+  snd t.code_vmas.(i)
 
 (* Allocate a VMA usable as an ArgBuf. Under isolation it belongs to the
    caller's PD; without isolation it is globally accessible. *)
 let mmap_argbuf t ~core ~bytes =
   let global = if Variant.isolated t.variant then None else Some Vm.Perm.rw in
-  let va, ns = Pl.mmap t.priv ~core ~bytes ~perm:Vm.Perm.rw ~global_perm:global () in
-  (va, ns)
+  Pl.mmap t.priv ~core ~bytes ~perm:Vm.Perm.rw ~global_perm:global ()
 
 let write_data t ~core ~va ~bytes =
   Vm.Hw.access t.hw ~core ~va ~access:Vm.Perm.Write ~kind:`Data ~bytes
@@ -61,49 +83,51 @@ let write_data t ~core ~va ~bytes =
 let read_data t ~core ~va ~bytes =
   Vm.Hw.access t.hw ~core ~va ~access:Vm.Perm.Read ~kind:`Data ~bytes
 
-let make_argbuf t ~core ~bytes =
+let make_argbuf t ~core ~bytes c =
   match t.variant with
   | Variant.Nightcore ->
       (* Payload staged into shm at invoke time. *)
-      (0, comm (Jord_baseline.Shm.transfer_ns t.nc.Jord_baseline.Nightcore.shm ~bytes))
+      comm c (Jord_baseline.Shm.transfer_ns t.nc.Jord_baseline.Nightcore.shm ~bytes);
+      0
   | Variant.Jord | Variant.Jord_bt ->
       let va, mmap_ns = mmap_argbuf t ~core ~bytes in
       let w = write_data t ~core ~va ~bytes in
       let mv = Pl.pmove t.priv ~core ~va ~dst_pd:0 ~perm:Vm.Perm.rw () in
-      (va, iso (mmap_ns +. mv) ++ comm w)
+      set c ~iso:(mmap_ns +. mv) ~comm:w;
+      va
   | Variant.Jord_ni ->
       let va, mmap_ns = mmap_argbuf t ~core ~bytes in
       let w = write_data t ~core ~va ~bytes in
-      (va, iso mmap_ns ++ comm w)
+      set c ~iso:mmap_ns ~comm:w;
+      va
 
 (* Runs executor-side (PD 0), just before the parent is resumed: grant the
    parent a view of the completed child's ArgBuf, read the response on its
    behalf and release the buffer. *)
-let reap_argbuf t ~core ~pd ~va ~bytes:_ =
+let reap_argbuf t ~core ~pd ~va ~bytes:_ c =
   match t.variant with
   | Variant.Nightcore ->
-      comm (Jord_baseline.Nightcore.output_ns t.nc ~bytes:response_bytes)
+      comm c (Jord_baseline.Nightcore.output_ns t.nc ~bytes:response_bytes)
   | Variant.Jord | Variant.Jord_bt ->
       let cp = Pl.pcopy t.priv ~core ~va ~dst_pd:pd ~perm:Vm.Perm.rw in
       let r = read_data t ~core ~va ~bytes:response_bytes in
       let un = Pl.munmap t.priv ~core ~va in
-      iso (cp +. un) ++ comm r
+      set c ~iso:(cp +. un) ~comm:r
   | Variant.Jord_ni ->
       let r = read_data t ~core ~va ~bytes:response_bytes in
       let un = Pl.munmap t.priv ~core ~va in
-      iso un ++ comm r
+      set c ~iso:un ~comm:r
 
-let setup t ~core ~fn ~argbuf ~arg_bytes =
+let setup t ~core ~fn ~argbuf ~arg_bytes c =
   match t.variant with
   | Variant.Nightcore ->
       (* Worker side: pipe read syscall, worker prep, input copy from shm. *)
-      let c =
-        comm (Jord_baseline.Nightcore.input_ns t.nc ~bytes:arg_bytes)
-        ++ iso
-             (t.nc.Jord_baseline.Nightcore.worker_prep_ns
-             +. t.nc.Jord_baseline.Nightcore.pipe.Jord_baseline.Pipe.syscall_ns)
-      in
-      (0, 0, c)
+      set c
+        ~iso:
+          (t.nc.Jord_baseline.Nightcore.worker_prep_ns
+          +. t.nc.Jord_baseline.Nightcore.pipe.Jord_baseline.Pipe.syscall_ns)
+        ~comm:(Jord_baseline.Nightcore.input_ns t.nc ~bytes:arg_bytes);
+      (0, 0)
   | Variant.Jord | Variant.Jord_bt ->
       let code = code_va t fn.Model.name in
       let pd, cget_ns = Pl.cget t.priv ~core in
@@ -123,7 +147,8 @@ let setup t ~core ~fn ~argbuf ~arg_bytes =
       let isolation =
         cget_ns +. mmap_ns +. grant_state +. grant_code +. grant_arg +. call_ns
       in
-      (pd, state_va, iso isolation ++ comm (code_touch +. stack_touch +. input))
+      set c ~iso:isolation ~comm:(code_touch +. stack_touch +. input);
+      (pd, state_va)
   | Variant.Jord_ni ->
       let code = code_va t fn.Model.name in
       let state_va, mmap_ns =
@@ -135,12 +160,13 @@ let setup t ~core ~fn ~argbuf ~arg_bytes =
       in
       let stack_touch = write_data t ~core ~va:state_va ~bytes:128 in
       let input = read_data t ~core ~va:argbuf ~bytes:arg_bytes in
-      (0, state_va, iso mmap_ns ++ comm (code_touch +. stack_touch +. input))
+      set c ~iso:mmap_ns ~comm:(code_touch +. stack_touch +. input);
+      (0, state_va)
 
-let teardown t ~core ~fn ~pd ~state_va ~argbuf =
+let teardown t ~core ~fn ~pd ~state_va ~argbuf c =
   match t.variant with
   | Variant.Nightcore ->
-      comm (Jord_baseline.Nightcore.output_ns t.nc ~bytes:response_bytes)
+      comm c (Jord_baseline.Nightcore.output_ns t.nc ~bytes:response_bytes)
   | Variant.Jord | Variant.Jord_bt ->
       let output = write_data t ~core ~va:argbuf ~bytes:response_bytes in
       let ret = Pl.creturn t.priv ~core in
@@ -150,11 +176,11 @@ let teardown t ~core ~fn ~pd ~state_va ~argbuf =
       in
       let unmap_state = Pl.munmap t.priv ~core ~va:state_va in
       let put = Pl.cput t.priv ~core ~pd in
-      iso (ret +. reclaim_arg +. revoke_code +. unmap_state +. put) ++ comm output
+      set c ~iso:(ret +. reclaim_arg +. revoke_code +. unmap_state +. put) ~comm:output
   | Variant.Jord_ni ->
       let output = write_data t ~core ~va:argbuf ~bytes:response_bytes in
       let unmap_state = Pl.munmap t.priv ~core ~va:state_va in
-      iso unmap_state ++ comm output
+      set c ~iso:unmap_state ~comm:output
 
 (* True when [pd] is a cexit'd (suspended) protection domain. False for
    PDs currently entered on a core and for variants without PDs; callers
@@ -170,11 +196,11 @@ let pd_suspended t ~pd =
    the output write — the PD, its state VMA and the code grant are torn
    down, but the ArgBuf goes back to PD 0 intact so the request can be
    re-executed elsewhere from its original input. *)
-let abort t ~core ~fn ~pd ~state_va ~argbuf =
+let abort t ~core ~fn ~pd ~state_va ~argbuf c =
   match t.variant with
   | Variant.Nightcore ->
       (* The worker thread dies; its replacement pays prep again at setup. *)
-      iso t.nc.Jord_baseline.Nightcore.worker_prep_ns
+      iso c t.nc.Jord_baseline.Nightcore.worker_prep_ns
   | Variant.Jord | Variant.Jord_bt ->
       (* A suspended invocation (cexit'd, waiting on children) must be
          re-entered before its context can be torn down — the gate's
@@ -193,57 +219,58 @@ let abort t ~core ~fn ~pd ~state_va ~argbuf =
       in
       let unmap_state = Pl.munmap t.priv ~core ~va:state_va in
       let put = Pl.cput t.priv ~core ~pd in
-      iso (reenter +. ret +. reclaim_arg +. revoke_code +. unmap_state +. put)
-  | Variant.Jord_ni -> iso (Pl.munmap t.priv ~core ~va:state_va)
+      iso c (reenter +. ret +. reclaim_arg +. revoke_code +. unmap_state +. put)
+  | Variant.Jord_ni -> iso c (Pl.munmap t.priv ~core ~va:state_va)
 
-let suspend t ~core ~pd =
+let suspend t ~core ~pd c =
   match t.variant with
-  | Variant.Nightcore -> iso (Jord_baseline.Nightcore.suspend_ns t.nc)
+  | Variant.Nightcore -> iso c (Jord_baseline.Nightcore.suspend_ns t.nc)
   | Variant.Jord | Variant.Jord_bt ->
-      if pd = 0 then zero_cost else iso (Pl.cexit t.priv ~core)
-  | Variant.Jord_ni -> zero_cost
+      if pd = 0 then zero c else iso c (Pl.cexit t.priv ~core)
+  | Variant.Jord_ni -> zero c
 
-let resume t ~core ~pd =
+let resume t ~core ~pd c =
   match t.variant with
-  | Variant.Nightcore -> iso (Jord_baseline.Nightcore.resume_ns t.nc)
+  | Variant.Nightcore -> iso c (Jord_baseline.Nightcore.resume_ns t.nc)
   | Variant.Jord | Variant.Jord_bt ->
-      if pd = 0 then zero_cost else iso (Pl.center t.priv ~core ~pd)
-  | Variant.Jord_ni -> zero_cost
+      if pd = 0 then zero c else iso c (Pl.center t.priv ~core ~pd)
+  | Variant.Jord_ni -> zero c
 
-let invoke_send t ~core:_ ~bytes =
+let invoke_send t ~core:_ ~bytes c =
   match t.variant with
   | Variant.Nightcore ->
-      comm (Jord_baseline.Pipe.sender_ns t.nc.Jord_baseline.Nightcore.pipe ~bytes)
-  | Variant.Jord | Variant.Jord_ni | Variant.Jord_bt -> zero_cost
+      comm c (Jord_baseline.Pipe.sender_ns t.nc.Jord_baseline.Nightcore.pipe ~bytes)
+  | Variant.Jord | Variant.Jord_ni | Variant.Jord_bt -> zero c
 
-let external_input t ~core ~bytes =
+let external_input t ~core ~bytes c =
   match t.variant with
   | Variant.Nightcore ->
-      (0, comm (Jord_baseline.Nightcore.input_ns t.nc ~bytes))
+      comm c (Jord_baseline.Nightcore.input_ns t.nc ~bytes);
+      0
   | Variant.Jord | Variant.Jord_bt | Variant.Jord_ni ->
       let va, mmap_ns = mmap_argbuf t ~core ~bytes in
       let w = write_data t ~core ~va ~bytes in
-      (va, iso mmap_ns ++ comm w)
+      set c ~iso:mmap_ns ~comm:w;
+      va
 
-let release_argbuf t ~core ~va ~bytes:_ =
+let release_argbuf t ~core ~va ~bytes:_ c =
   match t.variant with
-  | Variant.Nightcore -> zero_cost
-  | Variant.Jord | Variant.Jord_bt | Variant.Jord_ni ->
-      iso (Pl.munmap t.priv ~core ~va)
+  | Variant.Nightcore -> zero c
+  | Variant.Jord | Variant.Jord_bt | Variant.Jord_ni -> iso c (Pl.munmap t.priv ~core ~va)
 
 (* Function-initiated dynamic VMA: mmap, touch, munmap (Listing 1's
    lines 19-23). Runs in the calling PD's context. *)
-let scratch t ~core ~bytes =
+let scratch t ~core ~bytes c =
   match t.variant with
   | Variant.Nightcore ->
       (* A plain malloc/free in the worker process: cheap, no VM work. *)
-      iso 60.0
+      iso c 60.0
   | Variant.Jord | Variant.Jord_bt | Variant.Jord_ni ->
       let global = if Variant.isolated t.variant then None else Some Vm.Perm.rw in
       let va, mmap_ns = Pl.mmap t.priv ~core ~bytes ~perm:Vm.Perm.rw ~global_perm:global () in
       let w = write_data t ~core ~va ~bytes:(Int.min bytes 256) in
       let un = Pl.munmap t.priv ~core ~va in
-      iso (mmap_ns +. un) ++ comm w
+      set c ~iso:(mmap_ns +. un) ~comm:w
 
 (* Re-establish a function's warm state after a whole-server crash wiped
    it: re-fault the code image in from storage. Modeled as a transient
@@ -251,11 +278,11 @@ let scratch t ~core ~bytes =
    code VMA itself survives (the address-space layout is durable state),
    so the VMA population returns to its floor and the conservation
    invariant still balances. *)
-let rewarm t ~core ~fn =
+let rewarm t ~core ~fn c =
   match t.variant with
   | Variant.Nightcore ->
       (* A fresh worker process: pay prep once per function. *)
-      iso t.nc.Jord_baseline.Nightcore.worker_prep_ns
+      iso c t.nc.Jord_baseline.Nightcore.worker_prep_ns
   | Variant.Jord | Variant.Jord_bt | Variant.Jord_ni ->
       let va, mmap_ns =
         Pl.mmap t.priv ~core ~bytes:fn.Model.code_bytes ~perm:Vm.Perm.rx ()
@@ -265,15 +292,15 @@ let rewarm t ~core ~fn =
           ~bytes:(Int.min fn.Model.code_bytes 4096)
       in
       let un = Pl.munmap t.priv ~core ~va in
-      iso (mmap_ns +. un) ++ comm touch
+      set c ~iso:(mmap_ns +. un) ~comm:touch
 
-let touch_working_set t ~core ~pd:_ ~fn ~state_va =
+let touch_working_set t ~core ~pd:_ ~fn ~state_va c =
   match t.variant with
-  | Variant.Nightcore -> zero_cost
+  | Variant.Nightcore -> zero c
   | Variant.Jord | Variant.Jord_bt | Variant.Jord_ni ->
       let code = code_va t fn.Model.name in
-      let c =
+      let cns =
         Vm.Hw.access t.hw ~core ~va:code ~access:Vm.Perm.Exec ~kind:`Instr ~bytes:64
       in
       let s = if state_va = 0 then 0.0 else write_data t ~core ~va:state_va ~bytes:64 in
-      comm (c +. s)
+      comm c (cns +. s)

@@ -192,6 +192,7 @@ let create ?engine cfg app =
       memsys;
       hw;
       rt;
+      cost = Runtime.cost ();
       app;
       prng = Jord_util.Prng.create ~seed:cfg.seed;
       core_busy_ps = Array.make n 0.0;

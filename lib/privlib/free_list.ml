@@ -6,15 +6,26 @@ type shard = {
   head_addr : int; (* per-core head line: stays in the owner's L1 *)
 }
 
+(* Keeps the generic hash: bucket order stays that of a polymorphic table. *)
+module Live = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type class_list = {
   mutable free : chunk list; (* shared backing list *)
   mutable next_index : int;
   shared_head : int;
   shards : shard array; (* one per core *)
-  live : (int, unit) Hashtbl.t;
+  live : unit Live.t;
 }
 
+type last = { mutable alloc_ns : float }
+
 type t = {
+  last : last;
   os : Os_facade.t;
   va_cfg : Jord_vm.Va.config;
   refill_batch : int;
@@ -44,10 +55,11 @@ let create ~os ~va_cfg ?(refill_batch = 64) ?(cores = 512) ?(shard_batch = 16) (
               cached = 0;
               head_addr = head_region + (((core + 1) * n_classes * 64) + (c * 64));
             });
-      live = Hashtbl.create 64;
+      live = Live.create 64;
     }
   in
   {
+    last = { alloc_ns = 0.0 };
     os;
     va_cfg;
     refill_batch;
@@ -105,7 +117,7 @@ let alloc t ~memsys ~core sc =
   | chunk :: rest ->
       shard.cache <- rest;
       shard.cached <- shard.cached - 1;
-      Hashtbl.replace cl.live chunk.index ();
+      Live.replace cl.live chunk.index ();
       t.live <- t.live + 1;
       (* Pop from the core-local list: head line plus the chunk's embedded
          next pointer. *)
@@ -114,13 +126,16 @@ let alloc t ~memsys ~core sc =
         +. Jord_arch.Memsys.read memsys ~core ~addr:chunk.phys
         +. extra
       in
-      (chunk.index, chunk.phys, lat)
+      t.last.alloc_ns <- lat;
+      chunk
+
+let alloc_ns t = t.last.alloc_ns
 
 let free t ~memsys ~core sc ~index ~phys =
   let cl = t.classes.(Jord_vm.Size_class.to_index sc) in
-  if not (Hashtbl.mem cl.live index) then
+  if not (Live.mem cl.live index) then
     Jord_vm.Fault.raise_fault (Jord_vm.Fault.Bad_handle "double free of VMA chunk");
-  Hashtbl.remove cl.live index;
+  Live.remove cl.live index;
   let shard = cl.shards.(core mod Array.length cl.shards) in
   shard.cache <- { index; phys } :: shard.cache;
   shard.cached <- shard.cached + 1;

@@ -12,6 +12,10 @@
     executor cores, which is incompatible with the paper's 16 ns VMA
     allocation. *)
 
+type chunk = { index : int; phys : int }
+(** A VMA chunk: its plain-list index within the size class and its
+    physical backing. *)
+
 type t
 
 val create :
@@ -31,10 +35,13 @@ val alloc :
   memsys:Jord_arch.Memsys.t ->
   core:int ->
   Jord_vm.Size_class.t ->
-  int * int * float
-(** [alloc t ~memsys ~core sc] pops a chunk: [(index, phys, latency_ns)].
-    The latency covers the atomic list-head update, the chunk-header read,
-    and — rarely — the refill syscall. *)
+  chunk
+(** [alloc t ~memsys ~core sc] pops a chunk. Its latency is {!alloc_ns}
+    until the next [alloc]. *)
+
+val alloc_ns : t -> float
+(** Latency (ns) of the most recent {!alloc}: the atomic list-head update,
+    the chunk-header read, and — rarely — the refill syscall. *)
 
 val free :
   t ->

@@ -2,10 +2,21 @@ type status = Idle | Running of int | Suspended
 
 type shard = { mutable ids : int list; mutable cached : int; head_addr : int }
 
+(* Keeps the generic hash: bucket order stays that of a polymorphic table. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+type last = { mutable alloc_ns : float }
+
 type t = {
   max_pds : int;
   mutable free : int list;
-  live : (int, status) Hashtbl.t;
+  live : status Ids.t;
+  last : last;
   shared_head : int;
   shards : shard array;
   batch : int;
@@ -20,7 +31,8 @@ let create ?(max_pds = 4096) ?(cores = 512) () =
     max_pds;
     (* PD 0 is the root domain and is never handed out. *)
     free = List.init (max_pds - 1) (fun i -> i + 1);
-    live = Hashtbl.create 64;
+    live = Ids.create 64;
+    last = { alloc_ns = 0.0 };
     shared_head = pd_table_base - 64;
     shards =
       Array.init cores (fun core ->
@@ -56,21 +68,25 @@ let alloc t ~memsys ~core =
   | id :: rest ->
       shard.ids <- rest;
       shard.cached <- shard.cached - 1;
-      Hashtbl.replace t.live id Idle;
+      Ids.replace t.live id Idle;
       (* Pop from the core-local shard + initialization of the config line. *)
       let lat =
         extra
         +. Jord_arch.Memsys.write memsys ~core ~addr:shard.head_addr
         +. Jord_arch.Memsys.write memsys ~core ~addr:(config_addr id)
       in
-      (id, lat)
+      t.last.alloc_ns <- lat;
+      id
+
+let alloc_ns t = t.last.alloc_ns
 
 let check_live t id =
   if id <= 0 || id >= t.max_pds then
     Jord_vm.Fault.raise_fault (Jord_vm.Fault.Bad_handle "invalid PD id");
-  match Hashtbl.find_opt t.live id with
-  | Some s -> s
-  | None -> Jord_vm.Fault.raise_fault (Jord_vm.Fault.Bad_handle "PD not allocated")
+  match Ids.find t.live id with
+  | s -> s
+  | exception Not_found ->
+      Jord_vm.Fault.raise_fault (Jord_vm.Fault.Bad_handle "PD not allocated")
 
 let status t id = check_live t id
 
@@ -79,7 +95,7 @@ let free t ~memsys ~core id =
   | Running _ ->
       Jord_vm.Fault.raise_fault (Jord_vm.Fault.Bad_handle "cannot destroy a running PD")
   | Idle | Suspended -> ());
-  Hashtbl.remove t.live id;
+  Ids.remove t.live id;
   let shard = t.shards.(core mod Array.length t.shards) in
   shard.ids <- id :: shard.ids;
   shard.cached <- shard.cached + 1;
@@ -106,7 +122,7 @@ let free t ~memsys ~core id =
 
 let set_status t id s =
   ignore (check_live t id);
-  Hashtbl.replace t.live id s
+  Ids.replace t.live id s
 
-let is_live t id = Hashtbl.mem t.live id
-let live_count t = Hashtbl.length t.live
+let is_live t id = Ids.mem t.live id
+let live_count t = Ids.length t.live

@@ -16,8 +16,11 @@ val create : ?max_pds:int -> ?cores:int -> unit -> t
 (** Default capacity 4096 PDs; ids are handed out through per-core shard
     caches (batches detached from the shared list with one atomic). *)
 
-val alloc : t -> memsys:Jord_arch.Memsys.t -> core:int -> int * float
-(** Pop a PD id: [(id, latency_ns)]. *)
+val alloc : t -> memsys:Jord_arch.Memsys.t -> core:int -> int
+(** Pop a PD id. Its latency is {!alloc_ns} until the next [alloc]. *)
+
+val alloc_ns : t -> float
+(** Latency (ns) of the most recent {!alloc}. *)
 
 val free : t -> memsys:Jord_arch.Memsys.t -> core:int -> int -> float
 (** Release a PD.

@@ -49,15 +49,30 @@ let op_name = function
 
 let n_ops = List.length all_ops
 
+(* Folded by the grants gauge: keeps the generic hash, so bucket order is
+   that of a polymorphic table. *)
+module Grants = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Float accumulators in an all-float record are stored unboxed. *)
+type ns = {
+  mutable vma_ns : float;
+  mutable pd_ns : float;
+  mutable lookup_ns : float; (* latency of the latest [resolve_owned] *)
+}
+
 type t = {
   hw : Vm.Hw.t;
   os : Os_facade.t;
   fl : Free_list.t;
   pds : Pd.t;
   mutable code_va : int option; (* PrivLib's own code VMA (I-VLB pressure) *)
-  grants : (int, int) Hashtbl.t; (* PD id -> outstanding VMA permissions *)
-  mutable vma_ns : float;
-  mutable pd_ns : float;
+  grants : int Grants.t; (* PD id -> outstanding VMA permissions *)
+  ns : ns;
   mutable vma_calls : int;
   mutable pd_calls : int;
   op_calls : int array; (* per-op call counts, indexed by op_index *)
@@ -93,42 +108,51 @@ let caller_pd t ~core = Vm.Mmu.ucid (mmu t ~core)
 let enter t ~core =
   Vm.Mmu.enter_privileged (mmu t ~core) ~at_gate:true;
   match t.code_va with
-  | Some va ->
-      let _, lat = Vm.Hw.translate t.hw ~core ~va ~access:Vm.Perm.Exec ~kind:`Instr in
-      lat
+  | Some va -> Vm.Hw.translate t.hw ~core ~va ~access:Vm.Perm.Exec ~kind:`Instr
   | None -> 0.0
 
 let leave t ~core = Vm.Mmu.exit_privileged (mmu t ~core)
 
-(* Run an API body inside the gate. The P bit is cleared on every exit path:
-   when a security-policy check faults, the hardware tears the privileged
-   context down before delivering the fault, so a failed call must never
-   leave the core privileged. *)
+(* Run an API body inside the gate. The P bit is cleared on every exit path,
+   the gate entry's own code fetch included: when a security-policy check
+   or a translation faults, the hardware tears the privileged context down
+   before delivering the fault, so a failed call must never leave the core
+   privileged. *)
 let with_gate t ~core f =
-  let gate_ns = enter t ~core in
-  Fun.protect
-    ~finally:(fun () -> leave t ~core)
-    (fun () ->
-      try f gate_ns
-      with Vm.Fault.Fault fl as exn ->
-        (* Policy rejections are faults too: count them with the hardware's
-           fault classes so telemetry sees the whole fault surface. *)
-        Vm.Hw.note_fault t.hw fl;
-        raise exn)
+  match enter t ~core with
+  | exception exn ->
+      (* [Hw.translate] already counted its fault. *)
+      leave t ~core;
+      raise exn
+  | gate_ns -> (
+      match f gate_ns with
+      | r ->
+          leave t ~core;
+          r
+      | exception (Vm.Fault.Fault fl as exn) ->
+          (* Policy rejections are faults too: count them with the
+             hardware's fault classes so telemetry sees the whole fault
+             surface. *)
+          Vm.Hw.note_fault t.hw fl;
+          leave t ~core;
+          raise exn
+      | exception exn ->
+          leave t ~core;
+          raise exn)
 
 let account t cat op ns =
   (match cat with
   | Vma_mgmt ->
-      t.vma_ns <- t.vma_ns +. ns;
+      t.ns.vma_ns <- t.ns.vma_ns +. ns;
       t.vma_calls <- t.vma_calls + 1
   | Pd_mgmt ->
-      t.pd_ns <- t.pd_ns +. ns;
+      t.ns.pd_ns <- t.ns.pd_ns +. ns;
       t.pd_calls <- t.pd_calls + 1);
   let i = op_index op in
   t.op_calls.(i) <- t.op_calls.(i) + 1;
   t.op_ns.(i) <- t.op_ns.(i) +. ns
 
-let time_in t = function Vma_mgmt -> t.vma_ns | Pd_mgmt -> t.pd_ns
+let time_in t = function Vma_mgmt -> t.ns.vma_ns | Pd_mgmt -> t.ns.pd_ns
 let call_count t = function Vma_mgmt -> t.vma_calls | Pd_mgmt -> t.pd_calls
 let op_count t op = t.op_calls.(op_index op)
 let op_ns t op = t.op_ns.(op_index op)
@@ -137,8 +161,8 @@ let op_stats t =
   List.map (fun op -> (op, op_count t op, op_ns t op)) all_ops
 
 let reset_accounting t =
-  t.vma_ns <- 0.0;
-  t.pd_ns <- 0.0;
+  t.ns.vma_ns <- 0.0;
+  t.ns.pd_ns <- 0.0;
   t.vma_calls <- 0;
   t.pd_calls <- 0;
   Array.fill t.op_calls 0 n_ops 0;
@@ -166,17 +190,21 @@ let register_metrics t ?(labels = []) reg =
     [ (Vma_mgmt, "vma_mgmt"); (Pd_mgmt, "pd_mgmt") ];
   gauge_fn reg ~help:"Outstanding VMA grants across non-root PDs" ~labels
     "jord_privlib_outstanding_grants" (fun () ->
-      float_of_int (Hashtbl.fold (fun _ v acc -> acc + v) t.grants 0))
+      float_of_int (Grants.fold (fun _ v acc -> acc + v) t.grants 0))
 
-(* Find the VTE covering [va], charging the lookup, with policy check: the
-   subject PD must hold some permission on the VMA — and acting on behalf of
-   a foreign PD is reserved to the trusted runtime in PD 0. *)
+let store t = Vm.Hw.store t.hw
+let footprint t = Vm.Vma_store.footprint (store t)
+
+(* Find the VTE covering [va], charging the lookup (its latency is left in
+   [t.ns.lookup_ns]), with policy check: the subject PD must hold some
+   permission on the VMA — and acting on behalf of a foreign PD is reserved
+   to the trusted runtime in PD 0. *)
 let resolve_owned t ~core ~subject ~va =
   let caller = caller_pd t ~core in
   if subject <> caller && caller <> 0 then
     Vm.Fault.raise_fault (Vm.Fault.Bad_handle "acting on a foreign PD is executor-only");
-  let vte, fp = Vm.Vma_store.lookup (Vm.Hw.store t.hw) ~va in
-  let lat = Vm.Hw.charge_footprint t.hw ~core fp in
+  let vte = Vm.Vma_store.lookup (store t) ~va in
+  t.ns.lookup_ns <- Vm.Hw.charge_footprint t.hw ~core (footprint t);
   match vte with
   | None -> Vm.Fault.raise_fault (Vm.Fault.Unmapped va)
   | Some vte ->
@@ -187,21 +215,21 @@ let resolve_owned t ~core ~subject ~va =
       in
       if not owned then
         Vm.Fault.raise_fault (Vm.Fault.Bad_handle "caller holds no permission on VMA");
-      (vte, lat)
+      vte
 
 let check_dst_pd t pd = if pd = 0 then () else ignore (Pd.status t.pds pd)
 
 (* Track how many VMA permissions each non-root PD holds: destroying a PD
    that still holds permissions would let a recycled PD id inherit them, so
    [cput] rejects it (the Figure-4 teardown always revokes first). *)
+let outstanding_grants t pd =
+  match Grants.find t.grants pd with v -> v | exception Not_found -> 0
+
 let bump_grants t pd delta =
   if pd <> 0 then begin
-    let v = Option.value ~default:0 (Hashtbl.find_opt t.grants pd) + delta in
-    if v <= 0 then Hashtbl.remove t.grants pd else Hashtbl.replace t.grants pd v
+    let v = outstanding_grants t pd + delta in
+    if v <= 0 then Grants.remove t.grants pd else Grants.replace t.grants pd v
   end
-
-let outstanding_grants t pd =
-  Option.value ~default:0 (Hashtbl.find_opt t.grants pd)
 
 (* Apply a permission change on [vte] for [pd], keeping the grant counter in
    sync with whether the PD holds an entry. *)
@@ -217,47 +245,45 @@ let mmap t ~core ~bytes ~perm ?(privileged = false) ?(global_perm = None) () =
       if (privileged || global_perm <> None) && caller_pd t ~core <> 0 then
         Vm.Fault.raise_fault (Vm.Fault.Bad_handle "special mappings are executor-only");
       let sc = Vm.Size_class.of_size bytes in
-      let index, phys, alloc_ns =
-        Free_list.alloc t.fl ~memsys:(Vm.Hw.memsys t.hw) ~core sc
-      in
+      let chunk = Free_list.alloc t.fl ~memsys:(Vm.Hw.memsys t.hw) ~core sc in
+      let alloc_ns = Free_list.alloc_ns t.fl in
       let va_cfg = Vm.Hw.va_cfg t.hw in
-      let base = Vm.Va.encode va_cfg sc ~index ~offset:0 in
-      let vte = Vm.Vte.create ~base ~bytes ~phys ~global_perm ~privileged () in
+      let base = Vm.Va.encode va_cfg sc ~index:chunk.Free_list.index ~offset:0 in
+      let vte =
+        Vm.Vte.create ~base ~bytes ~phys:chunk.Free_list.phys ~global_perm ~privileged ()
+      in
       set_perm_tracked t vte ~pd:(caller_pd t ~core) perm;
-      let fp = Vm.Vma_store.insert (Vm.Hw.store t.hw) vte in
+      Vm.Vma_store.insert (store t) vte;
       let lat =
         gate_ns
         +. Vm.Hw.instr_ns t.hw (gate_instrs + mmap_instrs)
         +. alloc_ns
-        +. Vm.Hw.charge_footprint t.hw ~core fp
+        +. Vm.Hw.charge_footprint t.hw ~core (footprint t)
       in
       account t Vma_mgmt Op_mmap lat;
       (base, lat))
 
 let munmap t ~core ~va =
   with_gate t ~core (fun gate_ns ->
-      let vte, lookup_ns = resolve_owned t ~core ~subject:(caller_pd t ~core) ~va in
+      let vte = resolve_owned t ~core ~subject:(caller_pd t ~core) ~va in
+      let lookup_ns = t.ns.lookup_ns in
       if Vm.Vte.privileged vte then
         Vm.Fault.raise_fault (Vm.Fault.Bad_handle "cannot unmap a privileged VMA");
       let base = Vm.Vte.base vte in
-      List.iter (fun pd -> bump_grants t pd (-1)) (Vm.Vte.sharer_pds vte);
-      let _, fp = Vm.Vma_store.remove (Vm.Hw.store t.hw) ~va:base in
+      Vm.Vte.iter_sharers (fun pd -> bump_grants t pd (-1)) vte;
+      ignore (Vm.Vma_store.remove (store t) ~va:base : Vm.Vte.t option);
       let sd = Vm.Hw.shootdown t.hw ~core ~va:base in
-      let va_cfg = Vm.Hw.va_cfg t.hw in
-      let sc, index, _ =
-        match Vm.Va.decode va_cfg base with
-        | Some d -> d
-        | None -> Vm.Fault.raise_fault (Vm.Fault.Unmapped base)
-      in
+      let slot = Vm.Va.vte_slot (Vm.Hw.va_cfg t.hw) base in
+      if slot < 0 then Vm.Fault.raise_fault (Vm.Fault.Unmapped base);
       let free_ns =
-        Free_list.free t.fl ~memsys:(Vm.Hw.memsys t.hw) ~core sc ~index
-          ~phys:(Vm.Vte.phys vte)
+        Free_list.free t.fl ~memsys:(Vm.Hw.memsys t.hw) ~core (Vm.Va.slot_class slot)
+          ~index:(Vm.Va.slot_index slot) ~phys:(Vm.Vte.phys vte)
       in
       let lat =
         gate_ns
         +. Vm.Hw.instr_ns t.hw (gate_instrs + munmap_instrs)
         +. lookup_ns
-        +. Vm.Hw.charge_footprint t.hw ~core fp
+        +. Vm.Hw.charge_footprint t.hw ~core (footprint t)
         +. sd +. free_ns
       in
       account t Vma_mgmt Op_munmap lat;
@@ -266,13 +292,14 @@ let munmap t ~core ~va =
 (* Shared tail of the three permission-updating calls: charge the structure
    update and the hardware shootdown for the rewritten VTE. *)
 let update_vte t ~core ~base =
-  let fp = Vm.Vma_store.update_footprint (Vm.Hw.store t.hw) ~va:base in
-  Vm.Hw.charge_footprint t.hw ~core fp +. Vm.Hw.shootdown t.hw ~core ~va:base
+  Vm.Vma_store.update (store t) ~va:base;
+  Vm.Hw.charge_footprint t.hw ~core (footprint t) +. Vm.Hw.shootdown t.hw ~core ~va:base
 
 let mprotect t ~core ?pd ~va ~perm () =
   with_gate t ~core (fun gate_ns ->
       let subject = match pd with Some p -> p | None -> caller_pd t ~core in
-      let vte, lookup_ns = resolve_owned t ~core ~subject ~va in
+      let vte = resolve_owned t ~core ~subject ~va in
+      let lookup_ns = t.ns.lookup_ns in
       set_perm_tracked t vte ~pd:subject perm;
       let lat =
         gate_ns
@@ -287,7 +314,8 @@ let transfer t ~core ~src_pd ~va ~dst_pd ~perm ~keep_src ~instrs ~op =
   with_gate t ~core (fun gate_ns ->
       check_dst_pd t dst_pd;
       let src_pd = match src_pd with Some p -> p | None -> caller_pd t ~core in
-      let vte, lookup_ns = resolve_owned t ~core ~subject:src_pd ~va in
+      let vte = resolve_owned t ~core ~subject:src_pd ~va in
+      let lookup_ns = t.ns.lookup_ns in
       let src_perm = Vm.Vte.perm_for vte ~pd:src_pd in
       let privileged_caller = caller_pd t ~core = 0 in
       if
@@ -322,7 +350,8 @@ let require_executor t ~core what =
 let cget t ~core =
   with_gate t ~core (fun gate_ns ->
       require_executor t ~core "cget";
-      let id, alloc_ns = Pd.alloc t.pds ~memsys:(Vm.Hw.memsys t.hw) ~core in
+      let id = Pd.alloc t.pds ~memsys:(Vm.Hw.memsys t.hw) ~core in
+      let alloc_ns = Pd.alloc_ns t.pds in
       let lat = gate_ns +. Vm.Hw.instr_ns t.hw (gate_instrs + cget_instrs) +. alloc_ns in
       account t Pd_mgmt Op_cget lat;
       (id, lat))
@@ -410,9 +439,8 @@ let create ~hw ~os =
       fl = Free_list.create ~os ~va_cfg:(Vm.Hw.va_cfg hw) ();
       pds = Pd.create ();
       code_va = None;
-      grants = Hashtbl.create 64;
-      vma_ns = 0.0;
-      pd_ns = 0.0;
+      grants = Grants.create 64;
+      ns = { vma_ns = 0.0; pd_ns = 0.0; lookup_ns = 0.0 };
       vma_calls = 0;
       pd_calls = 0;
       op_calls = Array.make n_ops 0;

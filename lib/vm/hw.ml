@@ -1,12 +1,7 @@
-type t = {
-  memsys : Jord_arch.Memsys.t;
-  store : Vma_store.t;
-  va_cfg : Va.config;
-  vtd : Vtd.t;
-  mmus : Mmu.t array;
-  mutable shootdowns : int;
+(* Float accumulators live in an all-float record, which OCaml stores
+   unboxed: updating them allocates nothing. *)
+type ns = {
   mutable shootdown_ns : float;
-  mutable walks : int;
   mutable walk_ns : float;
   mutable cur_stall_ns : float;
       (* Running VM-stall accumulator for per-request attribution: walks,
@@ -14,6 +9,22 @@ type t = {
          charged. The executor marks it at the start of each synchronous
          compute block and reads the delta at the end (reset-and-read), so
          stray accumulation outside a block is harmless. *)
+  mutable last_ns : float; (* latency of the latest translation or walk *)
+}
+
+type t = {
+  memsys : Jord_arch.Memsys.t;
+  store : Vma_store.t;
+  va_cfg : Va.config;
+  vtd : Vtd.t;
+  mmus : Mmu.t array;
+  cores : int;
+  lat : Float.Array.t; (* Jord_arch.Topology.latency_table *)
+  vtw_fsm_ns : float;
+  ivlb_stall_ns : float;
+  ns : ns;
+  mutable shootdowns : int;
+  mutable walks : int;
   faults : int array; (* indexed by fault_class *)
 }
 
@@ -28,19 +39,31 @@ let fault_class = function
   | Fault.Gate_violation _ -> 3
   | Fault.Bad_handle _ -> 4
 
+(* The VTW is a small FSM: besides the VTE fetch it spends a few cycles
+   computing the entry address and validating the sub-array. *)
+let vtw_fsm_cycles = 5
+
+(* An I-VLB miss stalls the front end: besides the walk, the fetch stage
+   refills after the bubble. *)
+let ivlb_stall_cycles = 14
+
 let create ?(i_entries = 16) ?(d_entries = 16) ~memsys ~store ~va_cfg () =
-  let cores = Jord_arch.Topology.cores (Jord_arch.Memsys.topology memsys) in
+  let topo = Jord_arch.Memsys.topology memsys in
+  let cores = Jord_arch.Topology.cores topo in
+  let cfg = Jord_arch.Memsys.config memsys in
   {
     memsys;
     store;
     va_cfg;
     vtd = Vtd.create ~cores ();
     mmus = Array.init cores (fun _ -> Mmu.create ~i_entries ~d_entries);
+    cores;
+    lat = Jord_arch.Topology.latency_table topo;
+    vtw_fsm_ns = Jord_arch.Config.cycles_ns cfg vtw_fsm_cycles;
+    ivlb_stall_ns = Jord_arch.Config.cycles_ns cfg ivlb_stall_cycles;
+    ns = { shootdown_ns = 0.0; walk_ns = 0.0; cur_stall_ns = 0.0; last_ns = 0.0 };
     shootdowns = 0;
-    shootdown_ns = 0.0;
     walks = 0;
-    walk_ns = 0.0;
-    cur_stall_ns = 0.0;
     faults = Array.make (Array.length fault_classes) 0;
   }
 
@@ -52,11 +75,11 @@ let vtd t = t.vtd
 let config t = Jord_arch.Memsys.config t.memsys
 let instr_ns t n = Jord_arch.Config.instr_ns (config t) n
 let shootdown_count t = t.shootdowns
-let shootdown_ns_total t = t.shootdown_ns
+let shootdown_ns_total t = t.ns.shootdown_ns
 let walk_count t = t.walks
-let walk_ns_total t = t.walk_ns
-let stall_mark t = t.cur_stall_ns <- 0.0
-let stall_since_mark t = t.cur_stall_ns
+let walk_ns_total t = t.ns.walk_ns
+let stall_mark t = t.ns.cur_stall_ns <- 0.0
+let stall_since_mark t = t.ns.cur_stall_ns
 
 (* Aggregate VLB statistics across every core. *)
 let vlb_totals t =
@@ -89,37 +112,36 @@ let note_fault t f = t.faults.(fault_class f) <- t.faults.(fault_class f) + 1
 
 let reset_counters t =
   t.shootdowns <- 0;
-  t.shootdown_ns <- 0.0;
+  t.ns.shootdown_ns <- 0.0;
   t.walks <- 0;
-  t.walk_ns <- 0.0;
+  t.ns.walk_ns <- 0.0;
   Array.fill t.faults 0 (Array.length t.faults) 0
 
 let vlb_of mmu = function `Instr -> Mmu.i_vlb mmu | `Data -> Mmu.d_vlb mmu
 
 let canonical_tag t va =
-  match Va.decode t.va_cfg va with
-  | Some _ -> Va.vte_addr_of_va t.va_cfg va
-  | None -> Fault.raise_fault (Fault.Unmapped va)
+  let slot = Va.vte_slot t.va_cfg va in
+  if slot < 0 then Fault.raise_fault (Fault.Unmapped va) else Va.slot_addr t.va_cfg slot
 
-let charge_footprint t ~core (fp : Vma_store.footprint) =
+let charge_footprint t ~core fp =
   let acc = ref 0.0 in
-  List.iter (fun addr -> acc := !acc +. Jord_arch.Memsys.read t.memsys ~core ~addr) fp.Vma_store.reads;
-  List.iter (fun addr -> acc := !acc +. Jord_arch.Memsys.write t.memsys ~core ~addr) fp.Vma_store.writes;
+  for i = 0 to Footprint.n_reads fp - 1 do
+    acc := !acc +. Jord_arch.Memsys.read t.memsys ~core ~addr:(Footprint.read_at fp i)
+  done;
+  for i = 0 to Footprint.n_writes fp - 1 do
+    acc := !acc +. Jord_arch.Memsys.write t.memsys ~core ~addr:(Footprint.write_at fp i)
+  done;
   !acc
 
 (* VTW walk: locate the VTE through the active data structure, charging its
    memory footprint, then register the translation with the VTD and fill the
-   requesting VLB. *)
-(* The VTW is a small FSM: besides the VTE fetch it spends a few cycles
-   computing the entry address and validating the sub-array. *)
-let vtw_fsm_cycles = 5
-
+   requesting VLB. The walk latency is left in [t.ns.last_ns]. *)
 let walk t ~core ~va ~vlb =
-  let vte, fp = Vma_store.lookup t.store ~va in
+  let vte = Vma_store.lookup t.store ~va in
   let lat =
-    Jord_arch.Config.cycles_ns (config t) vtw_fsm_cycles
+    t.vtw_fsm_ns
     +. instr_ns t (Vma_store.search_instrs t.store)
-    +. charge_footprint t ~core fp
+    +. charge_footprint t ~core (Vma_store.footprint t.store)
   in
   match vte with
   | None -> Fault.raise_fault (Fault.Unmapped va)
@@ -128,8 +150,9 @@ let walk t ~core ~va ~vlb =
       Vtd.note_read t.vtd ~vte_addr:tag ~core;
       Vlb.fill vlb ~vte_addr:tag vte;
       t.walks <- t.walks + 1;
-      t.walk_ns <- t.walk_ns +. lat;
-      (vte, lat)
+      t.ns.walk_ns <- t.ns.walk_ns +. lat;
+      t.ns.last_ns <- lat;
+      vte
 
 (* Overflow-pointer chase: VMAs shared by more than 20 PDs keep the extra
    (pd, perm) pairs behind the ptr field, one more memory access away. *)
@@ -149,37 +172,42 @@ let check_perm t ~core ~mmu ~va ~access vte =
     Fault.raise_fault (Fault.Permission { va; pd; need = access });
   extra
 
-(* An I-VLB miss stalls the front end: besides the walk, the fetch stage
-   refills after the bubble. *)
-let ivlb_stall_cycles = 14
-
+(* The translated VTE; its latency is left in [t.ns.last_ns]. *)
 let translate_unchecked t ~core ~va ~access ~kind =
   let mmu = t.mmus.(core) in
   let vlb = vlb_of mmu kind in
-  let vte, walk_lat =
-    match Vlb.lookup vlb ~va with
-    | Some vte -> (vte, 0.0)
-    | None ->
-        let vte, lat = walk t ~core ~va ~vlb in
-        let stall =
-          match kind with
-          | `Instr -> Jord_arch.Config.cycles_ns (config t) ivlb_stall_cycles
-          | `Data -> 0.0
-        in
-        t.cur_stall_ns <- t.cur_stall_ns +. lat +. stall;
-        (vte, lat +. stall)
+  let slot = Vlb.lookup vlb ~va in
+  let vte =
+    if slot >= 0 then begin
+      t.ns.last_ns <- 0.0;
+      Vlb.vte vlb slot
+    end
+    else begin
+      let vte = walk t ~core ~va ~vlb in
+      let lat = t.ns.last_ns in
+      let stall = match kind with `Instr -> t.ivlb_stall_ns | `Data -> 0.0 in
+      t.ns.cur_stall_ns <- t.ns.cur_stall_ns +. lat +. stall;
+      t.ns.last_ns <- lat +. stall;
+      vte
+    end
   in
   let perm_lat = check_perm t ~core ~mmu ~va ~access vte in
-  (vte, walk_lat +. perm_lat)
+  t.ns.last_ns <- t.ns.last_ns +. perm_lat;
+  vte
 
-let translate t ~core ~va ~access ~kind =
+let translate_vte t ~core ~va ~access ~kind =
   try translate_unchecked t ~core ~va ~access ~kind
   with Fault.Fault f as exn ->
     note_fault t f;
     raise exn
 
+let translate t ~core ~va ~access ~kind =
+  ignore (translate_vte t ~core ~va ~access ~kind : Vte.t);
+  t.ns.last_ns
+
 let access t ~core ~va ~access:acc ~kind ~bytes =
-  let vte, lat = translate t ~core ~va ~access:acc ~kind in
+  let vte = translate_vte t ~core ~va ~access:acc ~kind in
+  let lat = t.ns.last_ns in
   let phys = Vte.translate vte va in
   let line = (config t).Jord_arch.Config.line in
   let data =
@@ -203,30 +231,31 @@ let access t ~core ~va ~access:acc ~kind ~bytes =
 let shootdown t ~core ~va =
   t.shootdowns <- t.shootdowns + 1;
   let tag = canonical_tag t va in
-  let cores =
+  let sharers =
     match Vtd.sharers t.vtd ~vte_addr:tag with
-    | `Tracked cores -> cores
-    | `Untracked ->
+    | cores -> cores
+    | exception Not_found ->
         (* Victim-cache fallback: every coherence sharer of the VTE line is
            pessimistically treated as a translation sharer. *)
         Jord_arch.Memsys.sharers t.memsys ~addr:tag
   in
-  let topo = Jord_arch.Memsys.topology t.memsys in
   let home = Jord_arch.Memsys.home_of t.memsys ~addr:tag ~requester:core in
   let worst = ref 0.0 in
-  List.iter
-    (fun sharer ->
-      let mmu = t.mmus.(sharer) in
-      let hit_i = Vlb.invalidate_vte (Mmu.i_vlb mmu) ~vte_addr:tag in
-      let hit_d = Vlb.invalidate_vte (Mmu.d_vlb mmu) ~vte_addr:tag in
-      if sharer <> core && (hit_i || hit_d) then begin
-        let d = 2.0 *. Jord_arch.Topology.latency_ns topo ~src:home ~dst:sharer in
-        if d > !worst then worst := d
-      end)
-    cores;
+  let sharer = ref (Jord_util.Bitset.next_set sharers 0) in
+  while !sharer >= 0 do
+    let s = !sharer in
+    let mmu = t.mmus.(s) in
+    let hit_i = Vlb.invalidate_vte (Mmu.i_vlb mmu) ~vte_addr:tag in
+    let hit_d = Vlb.invalidate_vte (Mmu.d_vlb mmu) ~vte_addr:tag in
+    if s <> core && (hit_i || hit_d) then begin
+      let d = 2.0 *. Float.Array.get t.lat ((home * t.cores) + s) in
+      if d > !worst then worst := d
+    end;
+    sharer := Jord_util.Bitset.next_set sharers (s + 1)
+  done;
   Vtd.note_write t.vtd ~vte_addr:tag;
-  t.shootdown_ns <- t.shootdown_ns +. !worst;
-  t.cur_stall_ns <- t.cur_stall_ns +. !worst;
+  t.ns.shootdown_ns <- t.ns.shootdown_ns +. !worst;
+  t.ns.cur_stall_ns <- t.ns.cur_stall_ns +. !worst;
   !worst
 
 (* Mean occupancy fraction of one VLB kind across every core — a sampled
@@ -261,13 +290,13 @@ let register_metrics t ?(labels = []) reg =
   c "jord_vlb_shootdowns_total" "T-bit shootdown operations" [] (fun () ->
       float_of_int t.shootdowns);
   c "jord_vlb_shootdown_ns_total" "Cumulative shootdown latency (ns)" [] (fun () ->
-      t.shootdown_ns);
+      t.ns.shootdown_ns);
   c "jord_vlb_shootdown_invalidations_total"
     "VLB entries dropped by shootdown messages" [] (fun () ->
       float_of_int (vlb_shootdown_drops t));
   c "jord_vtw_walks_total" "VMA-table walks (VLB misses served)" [] (fun () ->
       float_of_int t.walks);
-  c "jord_vtw_walk_ns_total" "Cumulative walk latency (ns)" [] (fun () -> t.walk_ns);
+  c "jord_vtw_walk_ns_total" "Cumulative walk latency (ns)" [] (fun () -> t.ns.walk_ns);
   let vs = Vtd.stats t.vtd in
   c "jord_vtd_registrations_total" "T-bit reads registered in the VTD" [] (fun () ->
       float_of_int vs.Vtd.registrations);
@@ -292,12 +321,10 @@ let register_metrics t ?(labels = []) reg =
 let warm t ~core ~va ~kind =
   let mmu = t.mmus.(core) in
   let vlb = vlb_of mmu kind in
-  match Vlb.lookup vlb ~va with
-  | Some _ -> ()
-  | None -> (
-      match Vma_store.lookup t.store ~va with
-      | Some vte, _ ->
-          let tag = canonical_tag t va in
-          Vtd.note_read t.vtd ~vte_addr:tag ~core;
-          Vlb.fill vlb ~vte_addr:tag vte
-      | None, _ -> ())
+  if Vlb.lookup vlb ~va < 0 then
+    match Vma_store.lookup t.store ~va with
+    | Some vte ->
+        let tag = canonical_tag t va in
+        Vtd.note_read t.vtd ~vte_addr:tag ~core;
+        Vlb.fill vlb ~vte_addr:tag vte
+    | None -> ()

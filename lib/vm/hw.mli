@@ -33,12 +33,12 @@ val instr_ns : t -> int -> float
 (** Straight-line instruction cost under the machine's CPU profile. *)
 
 val translate :
-  t -> core:int -> va:int -> access:Perm.access -> kind:[ `Instr | `Data ] -> Vte.t * float
+  t -> core:int -> va:int -> access:Perm.access -> kind:[ `Instr | `Data ] -> float
 (** Translation + protection check for the PD currently in the core's ucid:
     VLB lookup, VTW walk on miss (charged through the memory system, with
     VTD registration), sub-array/overflow permission resolution, P-bit
     check.
-    Returns the VTE and the translation latency in ns (0 on a VLB hit).
+    Returns the translation latency in ns (0 on a VLB hit).
     @raise Fault.Fault on unmapped VA, denied permission or privilege
     violation. *)
 
@@ -53,7 +53,7 @@ val access :
 (** {!translate} followed by the data access(es) at the translated physical
     address: total latency in ns. *)
 
-val charge_footprint : t -> core:int -> Vma_store.footprint -> float
+val charge_footprint : t -> core:int -> Footprint.t -> float
 (** Drive a VMA-structure operation's reads/writes through the memory
     system (walker and PrivLib traffic). *)
 

@@ -24,17 +24,34 @@ let encode cfg sc ~index ~offset =
 let is_jord cfg va =
   va >= 0 && Jord_util.Bits.extract va ~lo:top_lo ~width:top_width = cfg.top_tag
 
-let decode cfg va =
-  if not (is_jord cfg va) then None
+let vte_index cfg sc ~index =
+  let i = (index * Size_class.count) + Size_class.to_index sc in
+  if i >= cfg.table_capacity then invalid_arg "Va.vte_index: table overflow";
+  i
+
+let slot_addr cfg slot = cfg.table_base + (slot * vte_bytes)
+let vte_addr cfg sc ~index = slot_addr cfg (vte_index cfg sc ~index)
+let slot_class slot = Size_class.of_index (slot mod Size_class.count)
+let slot_index slot = slot / Size_class.count
+
+(* The VTE index of a Jord VA, or -1: [decode] without the option. *)
+let vte_slot cfg va =
+  if not (is_jord cfg va) then -1
   else
     let sc_i = Jord_util.Bits.extract va ~lo:class_lo ~width:class_width in
-    if sc_i >= Size_class.count then None
+    if sc_i >= Size_class.count then -1
     else
       let sc = Size_class.of_index sc_i in
       let offs_bits = Size_class.offset_bits sc in
       let index = Jord_util.Bits.extract va ~lo:offs_bits ~width:(class_lo - offs_bits) in
-      let offset = va land ((1 lsl offs_bits) - 1) in
-      if index >= slots_per_class cfg then None else Some (sc, index, offset)
+      if index >= slots_per_class cfg then -1 else vte_index cfg sc ~index
+
+let decode cfg va =
+  let slot = vte_slot cfg va in
+  if slot < 0 then None
+  else
+    let sc = slot_class slot in
+    Some (sc, slot_index slot, va land ((1 lsl Size_class.offset_bits sc) - 1))
 
 let decode_exn cfg va =
   match decode cfg va with
@@ -44,13 +61,6 @@ let decode_exn cfg va =
 let base_of cfg va =
   let sc, index, _ = decode_exn cfg va in
   encode cfg sc ~index ~offset:0
-
-let vte_index cfg sc ~index =
-  let i = (index * Size_class.count) + Size_class.to_index sc in
-  if i >= cfg.table_capacity then invalid_arg "Va.vte_index: table overflow";
-  i
-
-let vte_addr cfg sc ~index = cfg.table_base + (vte_index cfg sc ~index * vte_bytes)
 
 (* ASLR entropy: bits of the index field usable for randomization, i.e. the
    VA bits between the offset field and the size-class field that are not
@@ -64,5 +74,6 @@ let entropy_bits cfg sc =
   Int.max 0 (index_width - needed)
 
 let vte_addr_of_va cfg va =
-  let sc, index, _ = decode_exn cfg va in
-  vte_addr cfg sc ~index
+  let slot = vte_slot cfg va in
+  if slot < 0 then invalid_arg "Va: not a Jord-managed address";
+  slot_addr cfg slot

@@ -33,6 +33,18 @@ val is_jord : config -> int -> bool
 val decode : config -> int -> (Size_class.t * int * int) option
 (** [(size class, index, offset)] for a Jord VA, [None] otherwise. *)
 
+val vte_slot : config -> int -> int
+(** The VMA-table position ({!vte_index}) of a Jord VA, or [-1] where
+    {!decode} gives [None]. Allocation-free, for per-access paths. *)
+
+val slot_addr : config -> int -> int
+(** Byte address of the entry at a table position: [vte_addr_of_va cfg va =
+    slot_addr cfg (vte_slot cfg va)]. *)
+
+val slot_class : int -> Size_class.t
+val slot_index : int -> int
+(** Size class and per-class index encoded by a table position. *)
+
 val base_of : config -> int -> int
 (** Base VA of the VMA containing a Jord VA (offset cleared).
     @raise Invalid_argument on a non-Jord VA. *)

@@ -25,71 +25,75 @@ let touch t e =
 
 let lookup t ~va =
   let n = Array.length t.entries in
-  let rec go i =
-    if i = n then begin
-      t.stats.misses <- t.stats.misses + 1;
-      None
-    end
-    else
-      match t.entries.(i) with
-      | Some e when Vte.covers e.vte va ->
-          t.stats.hits <- t.stats.hits + 1;
-          touch t e;
-          Some e.vte
-      | Some _ | None -> go (i + 1)
-  in
-  go 0
+  let hit = ref (-1) and i = ref 0 in
+  while !hit < 0 && !i < n do
+    (match t.entries.(!i) with
+    | Some e when Vte.covers e.vte va ->
+        touch t e;
+        hit := !i
+    | Some _ | None -> ());
+    incr i
+  done;
+  if !hit >= 0 then t.stats.hits <- t.stats.hits + 1
+  else t.stats.misses <- t.stats.misses + 1;
+  !hit
+
+let vte t slot =
+  match t.entries.(slot) with
+  | Some e -> e.vte
+  | None -> invalid_arg "Vlb.vte: empty slot"
 
 let find_slot t ~vte_addr =
   let n = Array.length t.entries in
-  let rec go i =
-    if i = n then None
-    else
-      match t.entries.(i) with
-      | Some e when e.vte_addr = vte_addr -> Some i
-      | Some _ | None -> go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while
+    !i < n
+    && match t.entries.(!i) with Some e -> e.vte_addr <> vte_addr | None -> true
+  do
+    incr i
+  done;
+  if !i < n then !i else -1
 
 let fill t ~vte_addr vte =
-  match find_slot t ~vte_addr with
-  | Some i ->
-      let e = { vte_addr; vte; lru = 0 } in
-      t.entries.(i) <- Some e;
-      touch t e
-  | None ->
+  let slot = find_slot t ~vte_addr in
+  let slot =
+    if slot >= 0 then slot
+    else begin
       (* Pick an empty slot, else the LRU victim. *)
       let n = Array.length t.entries in
-      let victim = ref 0 and victim_lru = ref max_int in
-      (try
-         for i = 0 to n - 1 do
-           match t.entries.(i) with
-           | None ->
-               victim := i;
-               raise Exit
-           | Some e ->
-               if e.lru < !victim_lru then begin
-                 victim := i;
-                 victim_lru := e.lru
-               end
-         done
-       with Exit -> ());
-      let e = { vte_addr; vte; lru = 0 } in
-      t.entries.(!victim) <- Some e;
-      touch t e
+      let victim = ref (-1) and victim_lru = ref max_int and i = ref 0 in
+      while !i < n do
+        (match t.entries.(!i) with
+        | None ->
+            victim := !i;
+            i := n
+        | Some e ->
+            if e.lru < !victim_lru then begin
+              victim := !i;
+              victim_lru := e.lru
+            end);
+        incr i
+      done;
+      !victim
+    end
+  in
+  let e = { vte_addr; vte; lru = 0 } in
+  t.entries.(slot) <- Some e;
+  touch t e
 
 let invalidate_vte t ~vte_addr =
-  match find_slot t ~vte_addr with
-  | Some i ->
-      t.entries.(i) <- None;
-      t.stats.shootdowns <- t.stats.shootdowns + 1;
-      true
-  | None -> false
+  let slot = find_slot t ~vte_addr in
+  if slot < 0 then false
+  else begin
+    t.entries.(slot) <- None;
+    t.stats.shootdowns <- t.stats.shootdowns + 1;
+    true
+  end
 
 let invalidate_all t =
   Array.fill t.entries 0 (Array.length t.entries) None
 
-let contains_vte t ~vte_addr = find_slot t ~vte_addr <> None
+let contains_vte t ~vte_addr = find_slot t ~vte_addr >= 0
 
 let resident t =
   Array.to_list t.entries

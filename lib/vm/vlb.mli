@@ -11,8 +11,12 @@ val create : entries:int -> t
 val capacity : t -> int
 val stats : t -> stats
 
-val lookup : t -> va:int -> Vte.t option
-(** Range match on \[base, base+bytes); a hit refreshes LRU. *)
+val lookup : t -> va:int -> int
+(** Range match on \[base, base+bytes): the slot of the matching entry, or
+    [-1] on a miss. A hit refreshes LRU. *)
+
+val vte : t -> int -> Vte.t
+(** The translation held in a slot returned by {!lookup}. *)
 
 val fill : t -> vte_addr:int -> Vte.t -> unit
 (** Install a translation after a walk, evicting the LRU entry if full.

@@ -19,18 +19,18 @@ type t = {
   mutable rebalances : int;
 }
 
-type footprint = { reads : int list; writes : int list }
-
-type fp_acc = { mutable r : int list; mutable w : int list }
-
 let addr_of node = node_region + (node.id * node_bytes)
 
 (* A 256 B node spans four cache lines; a binary search over the keys plus
    the value fetch touches about two of them, and a structural modification
    rewrites two. *)
-let visit fp node = fp.r <- (addr_of node + 64) :: addr_of node :: fp.r
-let modify fp node = fp.w <- (addr_of node + 64) :: addr_of node :: fp.w
-let seal fp = { reads = List.rev fp.r; writes = List.rev fp.w }
+let visit fp node =
+  Footprint.read fp (addr_of node);
+  Footprint.read fp (addr_of node + 64)
+
+let modify fp node =
+  Footprint.write fp (addr_of node);
+  Footprint.write fp (addr_of node + 64)
 
 let make_node ~id ~leaf =
   {
@@ -66,8 +66,11 @@ let kid node i =
 
 (* Number of keys in [node] that are <= va. *)
 let upper_bound node va =
-  let rec go i = if i < node.n && node.keys.(i) <= va then go (i + 1) else i in
-  go 0
+  let i = ref 0 in
+  while !i < node.n && node.keys.(!i) <= va do
+    incr i
+  done;
+  !i
 
 let rec floor_search fp node va best =
   visit fp node;
@@ -75,14 +78,11 @@ let rec floor_search fp node va best =
   let best = if i > 0 then node.vals.(i - 1) else best in
   if node.leaf then best else floor_search fp (kid node i) va best
 
-let lookup t ~va =
-  let fp = { r = []; w = [] } in
-  let found =
-    match floor_search fp t.root va None with
-    | Some vte when Vte.covers vte va -> Some vte
-    | Some _ | None -> None
-  in
-  (found, seal fp)
+let lookup t fp ~va =
+  Footprint.clear fp;
+  match floor_search fp t.root va None with
+  | Some vte as found when Vte.covers vte va -> found
+  | Some _ | None -> None
 
 let rec exact_search node base =
   let i = upper_bound node base in
@@ -153,8 +153,8 @@ let rec insert_nonfull t fp node base vte =
     insert_nonfull t fp (kid node i) base vte
   end
 
-let insert t vte =
-  let fp = { r = []; w = [] } in
+let insert t fp vte =
+  Footprint.clear fp;
   let base = Vte.base vte in
   if t.root.n = max_keys then begin
     let old_root = t.root in
@@ -164,8 +164,7 @@ let insert t vte =
     split_child t fp root 0
   end;
   insert_nonfull t fp t.root base vte;
-  t.count <- t.count + 1;
-  seal fp
+  t.count <- t.count + 1
 
 (* --- Deletion (CLRS) --- *)
 
@@ -314,22 +313,22 @@ let rec delete_key t fp node base =
 let shrink_root t =
   if (not t.root.leaf) && t.root.n = 0 then t.root <- kid t.root 0
 
-let remove t ~va =
-  let fp = { r = []; w = [] } in
+let remove t fp ~va =
+  Footprint.clear fp;
   match floor_search fp t.root va None with
-  | Some vte when Vte.covers vte va ->
+  | Some vte as found when Vte.covers vte va ->
       delete_key t fp t.root (Vte.base vte);
       shrink_root t;
       t.count <- t.count - 1;
-      (Some vte, seal fp)
-  | Some _ | None -> (None, seal fp)
+      found
+  | Some _ | None -> None
 
-let touch_addrs t ~va =
-  let fp = { r = []; w = [] } in
+let touch t fp ~va =
+  Footprint.clear fp;
   ignore (floor_search fp t.root va None);
   (* The update rewrites the node that holds the entry: charge one write. *)
-  (match fp.r with last :: _ -> fp.w <- [ last ] | [] -> ());
-  seal fp
+  let last = Footprint.last_read fp in
+  if last >= 0 then Footprint.write fp last
 
 let rec iter_node f node =
   if node.leaf then

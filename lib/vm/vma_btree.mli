@@ -5,30 +5,29 @@
     operation walks root-to-leaf (multiple dependent cache accesses) and
     inserts/deletes trigger node splits, borrows and merges — the
     "frequent B-tree rebalancing" the paper blames for Jord_BT spending 167%
-    more PrivLib time. Operations report node addresses touched (reads) and
-    modified (writes) for latency charging. *)
+    more PrivLib time. Operations record the node addresses they touch
+    (reads) and modify (writes) in a {!Footprint.t}, in access order, for
+    latency charging; every operation first clears the footprint it is
+    given. *)
 
 type t
 
-type footprint = { reads : int list; writes : int list }
-(** Byte addresses of tree nodes touched by an operation, in access order. *)
-
 val create : unit -> t
 
-val lookup : t -> va:int -> Vte.t option * footprint
+val lookup : t -> Footprint.t -> va:int -> Vte.t option
 (** Floor search: the entry with the greatest base [<= va] that covers
     [va]. *)
 
 val find_base : t -> base:int -> Vte.t option
 (** Exact-key search without charging. *)
 
-val insert : t -> Vte.t -> footprint
+val insert : t -> Footprint.t -> Vte.t -> unit
 (** @raise Invalid_argument on duplicate base. *)
 
-val remove : t -> va:int -> Vte.t option * footprint
+val remove : t -> Footprint.t -> va:int -> Vte.t option
 (** Delete the entry covering [va]. *)
 
-val touch_addrs : t -> va:int -> footprint
+val touch : t -> Footprint.t -> va:int -> unit
 (** Footprint of an in-place VTE update: the lookup path plus one leaf
     write. *)
 

@@ -1,50 +1,44 @@
-type footprint = { reads : int list; writes : int list }
+type impl = Plain of Vma_table.t | Btree of Vma_btree.t
+type t = { impl : impl; fp : Footprint.t }
 
-type t = Plain of Vma_table.t | Btree of Vma_btree.t
-
-let plain cfg = Plain (Vma_table.create cfg)
-let btree () = Btree (Vma_btree.create ())
-let kind = function Plain _ -> "plain-list" | Btree _ -> "b-tree"
-
-let of_bt (fp : Vma_btree.footprint) = { reads = fp.Vma_btree.reads; writes = fp.Vma_btree.writes }
+let make impl = { impl; fp = Footprint.create () }
+let plain cfg = make (Plain (Vma_table.create cfg))
+let btree () = make (Btree (Vma_btree.create ()))
+let impl t = t.impl
+let kind t = match t.impl with Plain _ -> "plain-list" | Btree _ -> "b-tree"
+let footprint t = t.fp
 
 let lookup t ~va =
-  match t with
-  | Plain p ->
-      let vte, addrs = Vma_table.lookup p ~va in
-      (vte, { reads = addrs; writes = [] })
-  | Btree b ->
-      let vte, fp = Vma_btree.lookup b ~va in
-      (vte, of_bt fp)
+  match t.impl with
+  | Plain p -> Vma_table.lookup p t.fp ~va
+  | Btree b -> Vma_btree.lookup b t.fp ~va
 
 let find_base t ~base =
-  match t with
+  match t.impl with
   | Plain p -> Vma_table.find_base p ~base
   | Btree b -> Vma_btree.find_base b ~base
 
 let insert t vte =
-  match t with
-  | Plain p -> { reads = []; writes = Vma_table.insert p vte }
-  | Btree b -> of_bt (Vma_btree.insert b vte)
+  match t.impl with
+  | Plain p -> Vma_table.insert p t.fp vte
+  | Btree b -> Vma_btree.insert b t.fp vte
 
 let remove t ~va =
-  match t with
-  | Plain p ->
-      let vte, addrs = Vma_table.remove p ~va in
-      (vte, { reads = []; writes = addrs })
-  | Btree b ->
-      let vte, fp = Vma_btree.remove b ~va in
-      (vte, of_bt fp)
+  match t.impl with
+  | Plain p -> Vma_table.remove p t.fp ~va
+  | Btree b -> Vma_btree.remove b t.fp ~va
 
-let update_footprint t ~va =
-  match t with
-  | Plain p -> { reads = []; writes = Vma_table.touch_addrs p ~va }
-  | Btree b -> of_bt (Vma_btree.touch_addrs b ~va)
+let update t ~va =
+  match t.impl with
+  | Plain p -> Vma_table.touch p t.fp ~va
+  | Btree b -> Vma_btree.touch b t.fp ~va
 
-let count = function Plain p -> Vma_table.count p | Btree b -> Vma_btree.count b
+let count t = match t.impl with Plain p -> Vma_table.count p | Btree b -> Vma_btree.count b
 
-let search_instrs = function
+let search_instrs t =
+  match t.impl with
   | Plain _ -> 4 (* shift/mask/add to compute the VTE address *)
   | Btree b -> 18 * (Vma_btree.height b + 1) (* binary search per level *)
 
-let iter f = function Plain p -> Vma_table.iter f p | Btree b -> Vma_btree.iter f b
+let iter f t =
+  match t.impl with Plain p -> Vma_table.iter f p | Btree b -> Vma_btree.iter f b

@@ -1,21 +1,28 @@
 (** Runtime-selected VMA-table data structure: the plain list (Jord) or the
-    B-tree (Jord_BT). Both expose the memory footprint of every operation so
-    PrivLib and the VTW can charge the accesses through {!Jord_arch.Memsys}. *)
+    B-tree (Jord_BT). Every operation records its memory footprint in the
+    store's reusable {!footprint}, so PrivLib and the VTW can charge the
+    accesses through {!Jord_arch.Memsys} without a per-operation
+    allocation. *)
 
-type footprint = { reads : int list; writes : int list }
-
-type t = Plain of Vma_table.t | Btree of Vma_btree.t
+type impl = Plain of Vma_table.t | Btree of Vma_btree.t
+type t
 
 val plain : Va.config -> t
 val btree : unit -> t
+val impl : t -> impl
 val kind : t -> string
 
-val lookup : t -> va:int -> Vte.t option * footprint
+val footprint : t -> Footprint.t
+(** Addresses read and written by the most recent {!lookup}, {!insert},
+    {!remove} or {!update}. The next of those operations overwrites it. *)
+
+val lookup : t -> va:int -> Vte.t option
 val find_base : t -> base:int -> Vte.t option
-val insert : t -> Vte.t -> footprint
-val remove : t -> va:int -> Vte.t option * footprint
-val update_footprint : t -> va:int -> footprint
-(** Accesses performed by an in-place permission update of the entry
+val insert : t -> Vte.t -> unit
+val remove : t -> va:int -> Vte.t option
+
+val update : t -> va:int -> unit
+(** Record the accesses of an in-place permission update of the entry
     covering [va]. *)
 
 val count : t -> int

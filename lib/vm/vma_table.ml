@@ -1,49 +1,60 @@
-type t = { cfg : Va.config; entries : (int, Vte.t) Hashtbl.t }
+(* Iterated by [iter]: keep the generic hash so bucket order is unchanged. *)
+module Slots = Hashtbl.Make (struct
+  type t = int
 
-let create cfg = { cfg; entries = Hashtbl.create 1024 }
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+type t = { cfg : Va.config; entries : Vte.t Slots.t }
+
+let create cfg = { cfg; entries = Slots.create 1024 }
 let config t = t.cfg
 
-let slot_of_va t va =
-  match Va.decode t.cfg va with
-  | None -> None
-  | Some (sc, index, _) -> Some (Va.vte_index t.cfg sc ~index, Va.vte_addr t.cfg sc ~index)
-
-let lookup t ~va =
-  match slot_of_va t va with
-  | None -> (None, [])
-  | Some (idx, addr) -> (
-      match Hashtbl.find_opt t.entries idx with
-      | Some vte when Vte.covers vte va -> (Some vte, [ addr ])
-      | Some _ | None -> (None, [ addr ]))
+let lookup t fp ~va =
+  Footprint.clear fp;
+  let slot = Va.vte_slot t.cfg va in
+  if slot < 0 then None
+  else begin
+    Footprint.read fp (Va.slot_addr t.cfg slot);
+    match Slots.find_opt t.entries slot with
+    | Some vte as found when Vte.covers vte va -> found
+    | Some _ | None -> None
+  end
 
 let find_base t ~base =
-  match slot_of_va t base with
-  | None -> None
-  | Some (idx, _) -> (
-      match Hashtbl.find_opt t.entries idx with
-      | Some vte when Vte.base vte = base -> Some vte
-      | Some _ | None -> None)
+  let slot = Va.vte_slot t.cfg base in
+  if slot < 0 then None
+  else
+    match Slots.find_opt t.entries slot with
+    | Some vte as found when Vte.base vte = base -> found
+    | Some _ | None -> None
 
-let insert t vte =
-  match slot_of_va t (Vte.base vte) with
-  | None -> invalid_arg "Vma_table.insert: not a Jord VA"
-  | Some (idx, addr) ->
-      if Hashtbl.mem t.entries idx then invalid_arg "Vma_table.insert: slot occupied";
-      Hashtbl.add t.entries idx vte;
-      [ addr ]
+let insert t fp vte =
+  Footprint.clear fp;
+  let slot = Va.vte_slot t.cfg (Vte.base vte) in
+  if slot < 0 then invalid_arg "Vma_table.insert: not a Jord VA";
+  if Slots.mem t.entries slot then invalid_arg "Vma_table.insert: slot occupied";
+  Slots.add t.entries slot vte;
+  Footprint.write fp (Va.slot_addr t.cfg slot)
 
-let remove t ~va =
-  match slot_of_va t va with
-  | None -> (None, [])
-  | Some (idx, addr) -> (
-      match Hashtbl.find_opt t.entries idx with
-      | Some vte when Vte.covers vte va ->
-          Hashtbl.remove t.entries idx;
-          (Some vte, [ addr ])
-      | Some _ | None -> (None, [ addr ]))
+let remove t fp ~va =
+  Footprint.clear fp;
+  let slot = Va.vte_slot t.cfg va in
+  if slot < 0 then None
+  else begin
+    Footprint.write fp (Va.slot_addr t.cfg slot);
+    match Slots.find_opt t.entries slot with
+    | Some vte as found when Vte.covers vte va ->
+        Slots.remove t.entries slot;
+        found
+    | Some _ | None -> None
+  end
 
-let touch_addrs t ~va =
-  match slot_of_va t va with Some (_, addr) -> [ addr ] | None -> []
+let touch t fp ~va =
+  Footprint.clear fp;
+  let slot = Va.vte_slot t.cfg va in
+  if slot >= 0 then Footprint.write fp (Va.slot_addr t.cfg slot)
 
-let count t = Hashtbl.length t.entries
-let iter f t = Hashtbl.iter (fun _ vte -> f vte) t.entries
+let count t = Slots.length t.entries
+let iter f t = Slots.iter (fun _ vte -> f vte) t.entries

@@ -36,15 +36,15 @@ let create ?(sets = 512) ?(ways = 8) ~cores () =
 let stats t = t.stats
 let set_of t vte_addr = (vte_addr / Va.vte_bytes) mod t.sets
 
+(* Slot tracking [vte_addr], or -1. *)
 let find t vte_addr =
-  let set = set_of t vte_addr in
-  let rec go w =
-    if w = t.ways then None
-    else
-      let e = t.slots.((set * t.ways) + w) in
-      if e.vte_addr = vte_addr then Some e else go (w + 1)
-  in
-  go 0
+  let base = set_of t vte_addr * t.ways in
+  let stop = base + t.ways in
+  let i = ref base in
+  while !i < stop && t.slots.(!i).vte_addr <> vte_addr do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 let touch t e =
   t.tick <- t.tick + 1;
@@ -52,55 +52,59 @@ let touch t e =
 
 let note_read t ~vte_addr ~core =
   t.stats.registrations <- t.stats.registrations + 1;
-  match find t vte_addr with
-  | Some e ->
-      Jord_util.Bitset.add e.sharers core;
-      touch t e
-  | None ->
-      let set = set_of t vte_addr in
-      (* Empty way if any, else LRU victim (its sharers become untracked). *)
-      let victim = ref (set * t.ways) and victim_lru = ref max_int in
-      (try
-         for w = 0 to t.ways - 1 do
-           let i = (set * t.ways) + w in
-           let e = t.slots.(i) in
-           if e.vte_addr = -1 then begin
-             victim := i;
-             raise Exit
-           end
-           else if e.lru < !victim_lru then begin
-             victim := i;
-             victim_lru := e.lru
-           end
-         done
-       with Exit -> ());
-      let e = t.slots.(!victim) in
-      if e.vte_addr <> -1 then t.stats.evictions <- t.stats.evictions + 1;
-      e.vte_addr <- vte_addr;
-      Jord_util.Bitset.clear e.sharers;
-      Jord_util.Bitset.add e.sharers core;
-      touch t e
+  let i = find t vte_addr in
+  if i >= 0 then begin
+    let e = t.slots.(i) in
+    Jord_util.Bitset.add e.sharers core;
+    touch t e
+  end
+  else begin
+    let set = set_of t vte_addr in
+    (* Empty way if any, else LRU victim (its sharers become untracked). *)
+    let victim = ref (set * t.ways) and victim_lru = ref max_int and w = ref 0 in
+    while !w < t.ways do
+      let i = (set * t.ways) + !w in
+      let e = t.slots.(i) in
+      if e.vte_addr = -1 then begin
+        victim := i;
+        w := t.ways
+      end
+      else if e.lru < !victim_lru then begin
+        victim := i;
+        victim_lru := e.lru
+      end;
+      incr w
+    done;
+    let e = t.slots.(!victim) in
+    if e.vte_addr <> -1 then t.stats.evictions <- t.stats.evictions + 1;
+    e.vte_addr <- vte_addr;
+    Jord_util.Bitset.clear e.sharers;
+    Jord_util.Bitset.add e.sharers core;
+    touch t e
+  end
 
 let sharers t ~vte_addr =
-  match find t vte_addr with
-  | Some e ->
-      t.stats.tracked_shootdowns <- t.stats.tracked_shootdowns + 1;
-      `Tracked (Jord_util.Bitset.to_list e.sharers)
-  | None ->
-      t.stats.fallback_shootdowns <- t.stats.fallback_shootdowns + 1;
-      `Untracked
+  let i = find t vte_addr in
+  if i >= 0 then begin
+    t.stats.tracked_shootdowns <- t.stats.tracked_shootdowns + 1;
+    t.slots.(i).sharers
+  end
+  else begin
+    t.stats.fallback_shootdowns <- t.stats.fallback_shootdowns + 1;
+    raise Not_found
+  end
 
 let note_write t ~vte_addr =
-  match find t vte_addr with
-  | Some e ->
-      e.vte_addr <- -1;
-      Jord_util.Bitset.clear e.sharers
-  | None -> ()
+  let i = find t vte_addr in
+  if i >= 0 then begin
+    let e = t.slots.(i) in
+    e.vte_addr <- -1;
+    Jord_util.Bitset.clear e.sharers
+  end
 
 let drop_core t ~vte_addr ~core =
-  match find t vte_addr with
-  | Some e -> Jord_util.Bitset.remove e.sharers core
-  | None -> ()
+  let i = find t vte_addr in
+  if i >= 0 then Jord_util.Bitset.remove t.slots.(i).sharers core
 
 let tracked t =
   Array.fold_left (fun acc e -> if e.vte_addr <> -1 then acc + 1 else acc) 0 t.slots

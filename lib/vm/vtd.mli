@@ -26,9 +26,11 @@ val stats : t -> stats
 val note_read : t -> vte_addr:int -> core:int -> unit
 (** Register [core]'s VLB as a sharer of the translation (T-bit read). *)
 
-val sharers : t -> vte_addr:int -> [ `Tracked of int list | `Untracked ]
-(** Sharer list for a VTE write. [`Untracked] means the VTD lost the entry
-    and the caller must fall back on the coherence directory. *)
+val sharers : t -> vte_addr:int -> Jord_util.Bitset.t
+(** Sharer set for a VTE write, read in place (the caller must not mutate
+    it; {!note_write} clears it).
+    @raise Not_found when the VTD lost the entry and the caller must fall
+    back on the coherence directory. *)
 
 val note_write : t -> vte_addr:int -> unit
 (** Clear tracking after the invalidations for a VTE write went out. *)

@@ -55,7 +55,9 @@ val has_pd : t -> pd:int -> bool
 val sharer_count : t -> int
 (** PDs currently holding a non-empty permission. *)
 
-val sharer_pds : t -> int list
+val iter_sharers : (int -> unit) -> t -> unit
+(** [iter_sharers f t] applies [f] to every PD holding a permission:
+    sub-array slots in order first, then the overflow list. *)
 
 val resize : t -> bytes:int -> unit
 (** Change the bound (must stay within the backing chunk's size class). *)

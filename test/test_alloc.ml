@@ -1,0 +1,60 @@
+(* Allocation gates for the per-access paths. Minor-heap words per call are
+   deterministic for a given compiler, so a change that reintroduces an
+   option, tuple, closure or boxed-float temporary on these paths fails
+   here. Each probe first warms the machine, so the measured calls take the
+   steady-state path (L1 hit, VLB hit, PD ids from the core-local shard). *)
+
+module Memsys = Jord_arch.Memsys
+module Hw = Jord_vm.Hw
+module Pl = Jord_privlib.Privlib
+
+let words_per_call ~iters f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+let machine () =
+  let memsys = Memsys.create (Jord_arch.Topology.create Jord_arch.Config.default) in
+  let va_cfg = Jord_vm.Va.default_config in
+  let hw = Hw.create ~memsys ~store:(Jord_vm.Vma_store.plain va_cfg) ~va_cfg () in
+  (memsys, hw, Pl.create ~hw ~os:(Jord_privlib.Os_facade.create ()))
+
+let check_at_most name ~limit words =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f words/call <= %.0f" name words limit)
+    true (words <= limit)
+
+let test_memsys_read_hit () =
+  let memsys, _, _ = machine () in
+  let w =
+    words_per_call ~iters:1000 (fun () -> ignore (Memsys.read memsys ~core:0 ~addr:0x4000))
+  in
+  check_at_most "L1-hit Memsys.read" ~limit:2.0 w
+
+let test_hw_access_vlb_hit () =
+  let _, hw, pl = machine () in
+  let va, _ = Pl.mmap pl ~core:0 ~bytes:4096 ~perm:Jord_vm.Perm.rw () in
+  let w =
+    words_per_call ~iters:1000 (fun () ->
+        ignore (Hw.access hw ~core:0 ~va ~access:Jord_vm.Perm.Read ~kind:`Data ~bytes:64))
+  in
+  check_at_most "VLB-hit Hw.access" ~limit:12.0 w
+
+let test_cget_cput () =
+  let _, _, pl = machine () in
+  let w =
+    words_per_call ~iters:1000 (fun () ->
+        let pd, _ = Pl.cget pl ~core:0 in
+        ignore (Pl.cput pl ~core:0 ~pd))
+  in
+  check_at_most "cget+cput" ~limit:70.0 w
+
+let suite =
+  [
+    Alcotest.test_case "memsys read L1 hit" `Quick test_memsys_read_hit;
+    Alcotest.test_case "hw access VLB hit" `Quick test_hw_access_vlb_hit;
+    Alcotest.test_case "cget+cput" `Quick test_cget_cput;
+  ]

@@ -50,10 +50,9 @@ let test_max_distance () =
 let test_cache_hit_miss () =
   let c = Cache.create ~size:1024 ~ways:2 ~line:64 in
   Alcotest.(check int) "sets" 8 (Cache.sets c);
-  Alcotest.(check (option reject)) "miss" None
-    (Option.map (fun _ -> ()) (Cache.lookup c 5));
-  ignore (Cache.insert c 5 Mesi.Exclusive);
-  Alcotest.(check bool) "hit" true (Cache.lookup c 5 <> None);
+  Alcotest.(check bool) "miss" true (Cache.lookup c 5 = Mesi.Invalid);
+  Alcotest.(check int) "no eviction" (-1) (Cache.insert c 5 Mesi.Exclusive);
+  Alcotest.(check bool) "hit" true (Cache.lookup c 5 = Mesi.Exclusive);
   Alcotest.(check int) "valid" 1 (Cache.count_valid c)
 
 let test_cache_lru_eviction () =
@@ -63,16 +62,14 @@ let test_cache_lru_eviction () =
   ignore (Cache.insert c 2 Mesi.Shared);
   ignore (Cache.lookup c 0);
   (* 0 is now MRU; inserting 4 must evict 2. *)
-  (match Cache.insert c 4 Mesi.Shared with
-  | Some (victim, _) -> Alcotest.(check int) "LRU victim" 2 victim
-  | None -> Alcotest.fail "expected an eviction");
-  Alcotest.(check bool) "0 still present" true (Cache.peek c 0 <> None)
+  Alcotest.(check int) "LRU victim" 2 (Cache.insert c 4 Mesi.Shared);
+  Alcotest.(check bool) "0 still present" true (Cache.peek c 0 <> Mesi.Invalid)
 
 let test_cache_invalidate () =
   let c = Cache.create ~size:256 ~ways:2 ~line:64 in
   ignore (Cache.insert c 7 Mesi.Modified);
   Alcotest.(check bool) "invalidate hit" true (Cache.invalidate c 7);
-  Alcotest.(check bool) "gone" true (Cache.peek c 7 = None);
+  Alcotest.(check bool) "gone" true (Cache.peek c 7 = Mesi.Invalid);
   Alcotest.(check bool) "invalidate miss" false (Cache.invalidate c 7);
   Alcotest.(check int) "valid count" 0 (Cache.count_valid c)
 
@@ -80,9 +77,9 @@ let test_cache_set_state () =
   let c = Cache.create ~size:256 ~ways:2 ~line:64 in
   ignore (Cache.insert c 3 Mesi.Exclusive);
   Cache.set_state c 3 Mesi.Modified;
-  Alcotest.(check bool) "M" true (Cache.peek c 3 = Some Mesi.Modified);
+  Alcotest.(check bool) "M" true (Cache.peek c 3 = Mesi.Modified);
   Cache.set_state c 3 Mesi.Invalid;
-  Alcotest.(check bool) "invalid frees way" true (Cache.peek c 3 = None)
+  Alcotest.(check bool) "invalid frees way" true (Cache.peek c 3 = Mesi.Invalid)
 
 let prop_cache_valid_count =
   QCheck.Test.make ~name:"cache valid count matches distinct resident lines"
@@ -90,8 +87,97 @@ let prop_cache_valid_count =
     (fun lines ->
       let c = Cache.create ~size:4096 ~ways:4 ~line:64 in
       List.iter (fun l -> ignore (Cache.insert c l Mesi.Shared)) lines;
-      let resident = List.length (List.sort_uniq compare (List.filter (fun l -> Cache.peek c l <> None) lines)) in
+      let resident = List.length (List.sort_uniq compare (List.filter (fun l -> Cache.peek c l <> Mesi.Invalid) lines)) in
       Cache.count_valid c = resident)
+
+(* A list-based LRU model of one cache: per set, the resident (line, state)
+   pairs most recently used first, at most [ways] of them. [lookup] and
+   [insert] refresh recency; [peek] and [set_state] do not. *)
+module Lru_model = struct
+  type t = { sets : int; ways : int; mutable lines : (int * Mesi.t) list array }
+
+  let create ~sets ~ways = { sets; ways; lines = Array.make sets [] }
+  let set_of t line = abs line mod t.sets
+  let find t line = List.assoc_opt line t.lines.(set_of t line)
+  let without line l = List.filter (fun (l', _) -> l' <> line) l
+  let state t line = Option.value (find t line) ~default:Mesi.Invalid
+
+  let lookup t line =
+    let s = set_of t line in
+    match find t line with
+    | None -> Mesi.Invalid
+    | Some st ->
+        t.lines.(s) <- (line, st) :: without line t.lines.(s);
+        st
+
+  let set_state t line st =
+    let s = set_of t line in
+    if find t line <> None then
+      t.lines.(s) <-
+        (if st = Mesi.Invalid then without line t.lines.(s)
+         else List.map (fun (l, x) -> if l = line then (l, st) else (l, x)) t.lines.(s))
+
+  let insert t line st =
+    let s = set_of t line in
+    match find t line with
+    | Some _ ->
+        t.lines.(s) <- (line, st) :: without line t.lines.(s);
+        -1
+    | None ->
+        let resident = t.lines.(s) in
+        if List.length resident < t.ways then begin
+          t.lines.(s) <- (line, st) :: resident;
+          -1
+        end
+        else begin
+          let victim, _ = List.nth resident (t.ways - 1) in
+          t.lines.(s) <- (line, st) :: without victim resident;
+          victim
+        end
+
+  let invalidate t line =
+    let s = set_of t line in
+    match find t line with
+    | Some _ ->
+        t.lines.(s) <- without line t.lines.(s);
+        true
+    | None -> false
+
+  let count t = Array.fold_left (fun n l -> n + List.length l) 0 t.lines
+end
+
+let prop_cache_matches_lru_model =
+  QCheck.Test.make ~name:"cache agrees with a list-based LRU model" ~count:300
+    QCheck.(
+      pair bool
+        (list_of_size Gen.(0 -- 120) (triple (int_bound 4) (int_bound 23) (int_bound 3))))
+    (fun (pow2, ops) ->
+      (* 4 sets (mask path) or 3 sets (modulo path), 2 ways each. *)
+      let sets = if pow2 then 4 else 3 in
+      let c = Cache.create ~size:(sets * 2 * 64) ~ways:2 ~line:64 in
+      let m = Lru_model.create ~sets ~ways:2 in
+      let state_of i = [| Mesi.Modified; Mesi.Exclusive; Mesi.Shared; Mesi.Invalid |].(i) in
+      List.for_all
+        (fun (op, line, st) ->
+          let same =
+            match op with
+            | 0 -> Cache.lookup c line = Lru_model.lookup m line
+            | 1 -> Cache.peek c line = Lru_model.state m line
+            | 2 ->
+                let st = state_of (st mod 3) in
+                Cache.insert c line st = Lru_model.insert m line st
+            | 3 ->
+                Cache.set_state c line (state_of st);
+                Lru_model.set_state m line (state_of st);
+                true
+            | _ -> Cache.invalidate c line = Lru_model.invalidate m line
+          in
+          same
+          && Cache.count_valid c = Lru_model.count m
+          && List.for_all
+               (fun l -> Cache.peek c l = Lru_model.state m l)
+               (List.init 24 Fun.id))
+        ops)
 
 let suite =
   [
@@ -106,4 +192,5 @@ let suite =
     Alcotest.test_case "cache invalidate" `Quick test_cache_invalidate;
     Alcotest.test_case "cache set_state" `Quick test_cache_set_state;
     QCheck_alcotest.to_alcotest prop_cache_valid_count;
+    QCheck_alcotest.to_alcotest prop_cache_matches_lru_model;
   ]

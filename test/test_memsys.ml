@@ -26,9 +26,10 @@ let test_write_invalidates_readers () =
   let m = make () in
   ignore (Memsys.read m ~core:1 ~addr:0x3000);
   ignore (Memsys.read m ~core:2 ~addr:0x3000);
-  Alcotest.(check (list int)) "two sharers" [ 1; 2 ] (Memsys.sharers m ~addr:0x3000);
+  Alcotest.(check (list int)) "two sharers" [ 1; 2 ] (Jord_util.Bitset.to_list (Memsys.sharers m ~addr:0x3000));
   ignore (Memsys.write m ~core:1 ~addr:0x3000);
-  Alcotest.(check (list int)) "writer owns alone" [ 1 ] (Memsys.sharers m ~addr:0x3000);
+  Alcotest.(check (list int)) "writer owns alone" [ 1 ]
+    (Jord_util.Bitset.to_list (Memsys.sharers m ~addr:0x3000));
   (* Reader 2 must now miss. *)
   let lat = Memsys.read m ~core:2 ~addr:0x3000 in
   Alcotest.(check bool) "reader 2 misses after invalidation" true (lat > l1_hit_ns)
@@ -96,7 +97,7 @@ let test_eviction_updates_directory () =
   for i = 0 to 8 do
     ignore (Memsys.read m ~core:0 ~addr:(0x100000 + (i * 4096)))
   done;
-  let evicted_sharers = Memsys.sharers m ~addr:0x100000 in
+  let evicted_sharers = Jord_util.Bitset.to_list (Memsys.sharers m ~addr:0x100000) in
   Alcotest.(check (list int)) "evicted line dropped from directory" [] evicted_sharers
 
 let suite =

@@ -181,6 +181,24 @@ let test_fault_clears_p_bit () =
   ignore (Pl.creturn pl ~core:0);
   ignore (Pl.cput pl ~core:0 ~pd)
 
+let test_gate_entry_fault_clears_p_bit () =
+  (* Regression: the gate entry itself fetches PrivLib's code. When that
+     translation faults, the P bit set by the entry must still be cleared,
+     and the fault is counted once, by the translation. *)
+  let pl, hw = make () in
+  let code =
+    match Pl.code_vma pl with Some va -> va | None -> Alcotest.fail "no PrivLib code VMA"
+  in
+  ignore (Vma_store.remove (Hw.store hw) ~va:code : Vte.t option);
+  Vlb.invalidate_all (Mmu.i_vlb (Hw.mmu hw ~core:0));
+  let faults = Hw.fault_count hw in
+  (match Pl.mmap pl ~core:0 ~bytes:512 ~perm:Perm.rw () with
+  | exception Fault.Fault (Fault.Unmapped _) -> ()
+  | _ -> Alcotest.fail "expected the gate's code fetch to fault");
+  Alcotest.(check bool) "P bit cleared after faulting gate entry" false
+    (Mmu.p_bit (Hw.mmu hw ~core:0));
+  Alcotest.(check int) "fault counted once" (faults + 1) (Hw.fault_count hw)
+
 let test_accounting () =
   let pl, _ = make () in
   Pl.reset_accounting pl;
@@ -231,6 +249,8 @@ let suite =
     Alcotest.test_case "special mappings executor-only" `Quick
       test_special_mappings_executor_only;
     Alcotest.test_case "fault clears P bit" `Quick test_fault_clears_p_bit;
+    Alcotest.test_case "gate entry fault clears P bit" `Quick
+      test_gate_entry_fault_clears_p_bit;
     Alcotest.test_case "accounting" `Quick test_accounting;
     Alcotest.test_case "uat_config refills" `Quick test_refill_uses_uat_config;
   ]

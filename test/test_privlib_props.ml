@@ -82,7 +82,7 @@ let prop_table_matches_model =
       let store = Hw.store hw in
       (* 3 bootstrap VMAs + live ones. *)
       Vma_store.count store = 3 + List.length live
-      && List.for_all (fun va -> fst (Vma_store.lookup store ~va) <> None) live)
+      && List.for_all (fun va -> Vma_store.lookup store ~va <> None) live)
 
 let prop_vlb_never_stale =
   QCheck.Test.make ~name:"privlib ops: VLBs never serve unmapped VAs" ~count:40 arb_ops

@@ -24,13 +24,20 @@ let make variant =
   Runtime.register_function rt ~core:0 fn;
   (rt, fn)
 
+(* Run one lifecycle step into a fresh cost pair. *)
+let step f =
+  let c = Runtime.cost () in
+  f c;
+  c
+
 let full_cycle rt fn =
   (* Orchestrator materializes an external ArgBuf, executor sets up, runs,
      tears down, orchestrator reclaims. *)
-  let va, intake = Runtime.external_input rt ~core:0 ~bytes:512 in
-  let pd, state_va, setup = Runtime.setup rt ~core:1 ~fn ~argbuf:va ~arg_bytes:512 in
-  let down = Runtime.teardown rt ~core:1 ~fn ~pd ~state_va ~argbuf:va in
-  let rel = Runtime.release_argbuf rt ~core:0 ~va ~bytes:512 in
+  let intake = Runtime.cost () and setup = Runtime.cost () in
+  let va = Runtime.external_input rt ~core:0 ~bytes:512 intake in
+  let pd, state_va = Runtime.setup rt ~core:1 ~fn ~argbuf:va ~arg_bytes:512 setup in
+  let down = step (Runtime.teardown rt ~core:1 ~fn ~pd ~state_va ~argbuf:va) in
+  let rel = step (Runtime.release_argbuf rt ~core:0 ~va ~bytes:512) in
   (intake, setup, down, rel)
 
 let test_jord_cycle () =
@@ -60,10 +67,12 @@ let test_ni_skips_pd_work () =
     (down.Runtime.isolation_ns < down_j.Runtime.isolation_ns /. 2.0);
   (* And NI suspends/resumes for free (no cexit/center). *)
   Alcotest.(check (float 1e-9)) "NI suspend free" 0.0
-    (Runtime.total (Runtime.suspend rt ~core:1 ~pd:0));
+    (Runtime.total (step (Runtime.suspend rt ~core:1 ~pd:0)));
   Alcotest.(check bool) "Jord suspend costs" true
-    (let pd, _, _ = Runtime.setup rt_j ~core:2 ~fn:fn_j ~argbuf:(fst (Runtime.external_input rt_j ~core:0 ~bytes:64)) ~arg_bytes:64 in
-     Runtime.total (Runtime.suspend rt_j ~core:2 ~pd) > 0.0)
+    (let c = Runtime.cost () in
+     let argbuf = Runtime.external_input rt_j ~core:0 ~bytes:64 c in
+     let pd, _ = Runtime.setup rt_j ~core:2 ~fn:fn_j ~argbuf ~arg_bytes:64 c in
+     Runtime.total (step (Runtime.suspend rt_j ~core:2 ~pd)) > 0.0)
 
 let test_nightcore_pays_pipes () =
   let rt, fn = make Variant.Nightcore in
@@ -75,34 +84,42 @@ let test_nightcore_pays_pipes () =
   Alcotest.(check bool) (Printf.sprintf "NC cycle is heavy (%.0f ns)" total) true
     (total > 400.0);
   Alcotest.(check bool) "NC suspend is a context switch" true
-    (Runtime.total (Runtime.suspend rt ~core:1 ~pd:0) > 500.0)
+    (Runtime.total (step (Runtime.suspend rt ~core:1 ~pd:0)) > 500.0)
 
 let test_scratch_costs () =
   let rt, _ = make Variant.Jord in
-  let c = Runtime.scratch rt ~core:3 ~bytes:4096 in
+  let c = step (Runtime.scratch rt ~core:3 ~bytes:4096) in
   Alcotest.(check bool) "scratch charges privlib" true (c.Runtime.isolation_ns > 10.0);
   let rt_nc, _ = make Variant.Nightcore in
-  let c_nc = Runtime.scratch rt_nc ~core:3 ~bytes:4096 in
+  let c_nc = step (Runtime.scratch rt_nc ~core:3 ~bytes:4096) in
   Alcotest.(check bool) "NC scratch is a malloc" true
     (Runtime.total c_nc < Runtime.total c +. 100.0)
 
 let test_invoke_send () =
   let rt, _ = make Variant.Jord in
   Alcotest.(check (float 1e-9)) "jord zero-copy send" 0.0
-    (Runtime.total (Runtime.invoke_send rt ~core:0 ~bytes:4096));
+    (Runtime.total (step (Runtime.invoke_send rt ~core:0 ~bytes:4096)));
   let rt_nc, _ = make Variant.Nightcore in
   Alcotest.(check bool) "NC pays per byte" true
-    (Runtime.total (Runtime.invoke_send rt_nc ~core:0 ~bytes:4096)
-    > Runtime.total (Runtime.invoke_send rt_nc ~core:0 ~bytes:64))
+    (Runtime.total (step (Runtime.invoke_send rt_nc ~core:0 ~bytes:4096))
+    > Runtime.total (step (Runtime.invoke_send rt_nc ~core:0 ~bytes:64)))
 
 let test_cost_algebra () =
-  let a = { Runtime.isolation_ns = 1.0; comm_ns = 2.0 } in
-  let b = { Runtime.isolation_ns = 10.0; comm_ns = 20.0 } in
-  let c = Runtime.( ++ ) a b in
-  Alcotest.(check (float 1e-9)) "iso" 11.0 c.Runtime.isolation_ns;
-  Alcotest.(check (float 1e-9)) "comm" 22.0 c.Runtime.comm_ns;
-  Alcotest.(check (float 1e-9)) "total" 33.0 (Runtime.total c);
-  Alcotest.(check (float 1e-9)) "zero" 0.0 (Runtime.total Runtime.zero_cost)
+  let c = Runtime.cost () in
+  Alcotest.(check (float 1e-9)) "fresh pair is zero" 0.0 (Runtime.total c);
+  c.Runtime.isolation_ns <- 10.0;
+  c.Runtime.comm_ns <- 20.0;
+  Alcotest.(check (float 1e-9)) "total" 30.0 (Runtime.total c);
+  (* A step overwrites both halves rather than adding to them. *)
+  let rt, _ = make Variant.Jord in
+  Runtime.invoke_send rt ~core:0 ~bytes:64 c;
+  Alcotest.(check (float 1e-9)) "iso overwritten" 0.0 c.Runtime.isolation_ns;
+  Alcotest.(check (float 1e-9)) "comm overwritten" 0.0 c.Runtime.comm_ns;
+  let rt_nc, _ = make Variant.Nightcore in
+  Runtime.suspend rt_nc ~core:0 ~pd:0 c;
+  Alcotest.(check bool) "isolation only" true
+    (c.Runtime.isolation_ns > 0.0 && c.Runtime.comm_ns = 0.0);
+  Alcotest.(check (float 1e-9)) "total is the sum" c.Runtime.isolation_ns (Runtime.total c)
 
 let suite =
   [

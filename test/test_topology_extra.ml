@@ -42,10 +42,38 @@ let test_triangle_inequality_samples () =
   done;
   Alcotest.(check bool) "mesh routing satisfies triangle inequality" true !ok
 
+(* The precomputed latency table agrees, bit for bit, with the per-pair
+   definition: mesh hops at [link_cycles] each, plus the socket link. *)
+let test_latency_table_matches_hops () =
+  List.iter
+    (fun cfg ->
+      let topo = Topology.create cfg in
+      let n = Topology.cores topo in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          let intra = Config.cycles_ns cfg (Topology.hops topo a b * cfg.Config.link_cycles) in
+          let expected =
+            if Topology.socket_of topo a = Topology.socket_of topo b then intra
+            else intra +. cfg.Config.cross_socket_ns
+          in
+          if Topology.latency_ns topo ~src:a ~dst:b <> expected then
+            Alcotest.failf "%d cores: latency %d->%d" n a b
+        done
+      done)
+    [
+      Config.default;
+      Config.fpga;
+      Config.with_cores Config.default 7;
+      Config.with_cores Config.default 100;
+      Config.with_sockets (Config.with_cores Config.default 64) 2;
+      Config.with_sockets (Config.with_cores Config.default 30) 4;
+    ]
+
 let suite =
   [
     Alcotest.test_case "odd core counts" `Quick test_odd_core_counts;
     Alcotest.test_case "homing covers slices" `Quick test_homing_covers_all_slices;
     Alcotest.test_case "two-socket split" `Quick test_two_socket_core_split;
     Alcotest.test_case "triangle inequality" `Quick test_triangle_inequality_samples;
+    Alcotest.test_case "latency table matches hops" `Quick test_latency_table_matches_hops;
   ]

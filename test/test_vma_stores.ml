@@ -7,22 +7,26 @@ let mk_vte ?(bytes = 4096) ~index () =
   let base = Va.encode cfg sc ~index ~offset:0 in
   Vte.create ~base ~bytes ~phys:(0x100000 + (index * bytes)) ()
 
+let fp = Footprint.create ()
+
 (* --- plain list --- *)
 
 let test_plain_roundtrip () =
   let t = Vma_table.create cfg in
   let vte = mk_vte ~index:5 () in
-  let addrs = Vma_table.insert t vte in
-  Alcotest.(check int) "one line touched" 1 (List.length addrs);
-  (match Vma_table.lookup t ~va:(Vte.base vte + 100) with
-  | Some found, [ addr ] ->
+  Vma_table.insert t fp vte;
+  Alcotest.(check (list int)) "one line written"
+    [ Va.vte_addr_of_va cfg (Vte.base vte) ] (Footprint.writes fp);
+  (match Vma_table.lookup t fp ~va:(Vte.base vte + 100) with
+  | Some found ->
       Alcotest.(check int) "same entry" (Vte.base vte) (Vte.base found);
-      Alcotest.(check int) "lookup touches the computed VTE line"
-        (Va.vte_addr_of_va cfg (Vte.base vte)) addr
-  | _ -> Alcotest.fail "lookup failed");
-  (match Vma_table.remove t ~va:(Vte.base vte) with
-  | Some _, _ -> ()
-  | None, _ -> Alcotest.fail "remove failed");
+      Alcotest.(check (list int)) "lookup touches the computed VTE line"
+        [ Va.vte_addr_of_va cfg (Vte.base vte) ] (Footprint.reads fp);
+      Alcotest.(check int) "lookup writes nothing" 0 (Footprint.n_writes fp)
+  | None -> Alcotest.fail "lookup failed");
+  (match Vma_table.remove t fp ~va:(Vte.base vte) with
+  | Some _ -> ()
+  | None -> Alcotest.fail "remove failed");
   Alcotest.(check int) "empty" 0 (Vma_table.count t)
 
 let test_plain_bound_check () =
@@ -30,57 +34,57 @@ let test_plain_bound_check () =
   let sc = Size_class.of_size 4096 in
   let base = Va.encode cfg sc ~index:9 ~offset:0 in
   let vte = Vte.create ~base ~bytes:100 ~phys:0x5000 () in
-  ignore (Vma_table.insert t vte);
+  Vma_table.insert t fp vte;
   (* Inside the bound hits; past the bound (but within the chunk) misses. *)
-  Alcotest.(check bool) "within bound" true (fst (Vma_table.lookup t ~va:(base + 99)) <> None);
-  Alcotest.(check bool) "past bound" true (fst (Vma_table.lookup t ~va:(base + 100)) = None)
+  Alcotest.(check bool) "within bound" true (Vma_table.lookup t fp ~va:(base + 99) <> None);
+  Alcotest.(check bool) "past bound" true (Vma_table.lookup t fp ~va:(base + 100) = None)
 
 let test_plain_slot_conflict () =
   let t = Vma_table.create cfg in
-  ignore (Vma_table.insert t (mk_vte ~index:7 ()));
+  Vma_table.insert t fp (mk_vte ~index:7 ());
   Alcotest.check_raises "occupied" (Invalid_argument "Vma_table.insert: slot occupied")
-    (fun () -> ignore (Vma_table.insert t (mk_vte ~index:7 ())))
+    (fun () -> Vma_table.insert t fp (mk_vte ~index:7 ()))
 
 let test_plain_non_jord () =
   let t = Vma_table.create cfg in
-  Alcotest.(check bool) "non-jord lookup" true (Vma_table.lookup t ~va:0x1234 = (None, []))
+  Alcotest.(check bool) "non-jord lookup" true (Vma_table.lookup t fp ~va:0x1234 = None);
+  Alcotest.(check int) "non-jord lookup touches nothing" 0 (Footprint.n_reads fp)
 
 (* --- B-tree --- *)
 
 let test_btree_basic () =
   let t = Vma_btree.create () in
   let v1 = mk_vte ~index:1 () and v2 = mk_vte ~index:2 () in
-  ignore (Vma_btree.insert t v1);
-  ignore (Vma_btree.insert t v2);
+  Vma_btree.insert t fp v1;
+  Vma_btree.insert t fp v2;
   Alcotest.(check int) "count" 2 (Vma_btree.count t);
-  (match Vma_btree.lookup t ~va:(Vte.base v2 + 8) with
-  | Some f, _ -> Alcotest.(check int) "floor finds v2" (Vte.base v2) (Vte.base f)
-  | None, _ -> Alcotest.fail "lookup failed");
+  (match Vma_btree.lookup t fp ~va:(Vte.base v2 + 8) with
+  | Some f -> Alcotest.(check int) "floor finds v2" (Vte.base v2) (Vte.base f)
+  | None -> Alcotest.fail "lookup failed");
   (* An address below every key misses. *)
-  Alcotest.(check bool) "below all" true (fst (Vma_btree.lookup t ~va:1) = None);
-  (match Vma_btree.remove t ~va:(Vte.base v1) with
-  | Some _, _ -> ()
-  | None, _ -> Alcotest.fail "remove failed");
+  Alcotest.(check bool) "below all" true (Vma_btree.lookup t fp ~va:1 = None);
+  (match Vma_btree.remove t fp ~va:(Vte.base v1) with
+  | Some _ -> ()
+  | None -> Alcotest.fail "remove failed");
   Alcotest.(check int) "count after remove" 1 (Vma_btree.count t);
   Alcotest.(check bool) "invariants" true (Vma_btree.check_invariants t = Ok ())
 
 let test_btree_duplicate () =
   let t = Vma_btree.create () in
-  ignore (Vma_btree.insert t (mk_vte ~index:3 ()));
+  Vma_btree.insert t fp (mk_vte ~index:3 ());
   Alcotest.check_raises "duplicate" (Invalid_argument "Vma_btree.insert: duplicate base")
-    (fun () -> ignore (Vma_btree.insert t (mk_vte ~index:3 ())))
+    (fun () -> Vma_btree.insert t fp (mk_vte ~index:3 ()))
 
 let test_btree_growth_and_footprint () =
   let t = Vma_btree.create () in
   for i = 0 to 299 do
-    ignore (Vma_btree.insert t (mk_vte ~index:i ()))
+    Vma_btree.insert t fp (mk_vte ~index:i ())
   done;
   Alcotest.(check bool) "tree grew" true (Vma_btree.height t >= 2);
   Alcotest.(check bool) "splits happened" true (Vma_btree.rebalance_ops t > 0);
   Alcotest.(check bool) "invariants" true (Vma_btree.check_invariants t = Ok ());
-  let _, fp = Vma_btree.lookup t ~va:(Vte.base (mk_vte ~index:150 ())) in
-  Alcotest.(check bool) "walk touches >= 2 node reads" true
-    (List.length fp.Vma_btree.reads >= 2)
+  ignore (Vma_btree.lookup t fp ~va:(Vte.base (mk_vte ~index:150 ())));
+  Alcotest.(check bool) "walk touches >= 2 node reads" true (Footprint.n_reads fp >= 2)
 
 let prop_btree_model =
   (* Random interleavings of insert/remove agree with a Map model and keep
@@ -97,14 +101,14 @@ let prop_btree_model =
           let base = Vte.base vte in
           if add then begin
             if not (M.mem base !model) then begin
-              ignore (Vma_btree.insert t vte);
+              Vma_btree.insert t fp vte;
               model := M.add base vte !model
             end
           end
           else if M.mem base !model then begin
-            (match Vma_btree.remove t ~va:base with
-            | Some _, _ -> ()
-            | None, _ -> failwith "model mismatch: remove");
+            (match Vma_btree.remove t fp ~va:base with
+            | Some _ -> ()
+            | None -> failwith "model mismatch: remove");
             model := M.remove base !model
           end)
         ops;
@@ -114,9 +118,9 @@ let prop_btree_model =
       Vma_btree.count t = M.cardinal !model
       && M.for_all
            (fun base _ ->
-             match Vma_btree.lookup t ~va:(base + 1) with
-             | Some f, _ -> Vte.base f = base
-             | None, _ -> false)
+             match Vma_btree.lookup t fp ~va:(base + 1) with
+             | Some f -> Vte.base f = base
+             | None -> false)
            !model)
 
 (* --- unified store --- *)
@@ -129,9 +133,8 @@ let test_store_dispatch () =
   List.iter
     (fun store ->
       let vte = mk_vte ~index:11 () in
-      ignore (Vma_store.insert store vte);
-      Alcotest.(check bool) "found" true
-        (fst (Vma_store.lookup store ~va:(Vte.base vte)) <> None);
+      Vma_store.insert store vte;
+      Alcotest.(check bool) "found" true (Vma_store.lookup store ~va:(Vte.base vte) <> None);
       Alcotest.(check bool) "find_base" true
         (Vma_store.find_base store ~base:(Vte.base vte) <> None);
       Alcotest.(check int) "count" 1 (Vma_store.count store))
