@@ -179,6 +179,51 @@ let loadgen buf (label, app, variant, rate) =
        (f17 (mean_us recorder)) (f17 (p50_us recorder)) (f17 (p99_us recorder))
        (f17 (throughput_mrps recorder)))
 
+(* A small autoscaled affinity fleet under ci-style diurnal+flash traffic:
+   the autoscaler both boots and drains members, and the SLO rollup closes
+   windows. The run report is the fleet's byte-identity witness across
+   shard counts, so the same scenario is emitted sequentially and on two
+   engine shards. *)
+let fleet buf ~shards =
+  let spec =
+    match Jord_fleet.Autoscaler.parse "fast,min=4,boot-us=50" with
+    | Ok spec -> Some spec
+    | Error m -> failwith m
+  in
+  let shape =
+    match Jord_workloads.Traffic.parse "ci,users=30000,rate=40,amp=0.9" with
+    | Ok shape -> shape
+    | Error m -> failwith m
+  in
+  let slo =
+    match Jord_obsv.Slo.parse_arg "ci" with Ok objs -> objs | Error m -> failwith m
+  in
+  let cfg =
+    {
+      Jord_fleet.Fleet.default_config with
+      Jord_fleet.Fleet.servers = 64;
+      policy = Jord_fleet.Lb.Affinity;
+      autoscale = spec;
+      shards;
+    }
+  in
+  let t = Jord_fleet.Fleet.create cfg ~app:Jord_workloads.Media.app in
+  Jord_fleet.Fleet.run ~slo t ~shape ~duration_us:800.0;
+  let label = Printf.sprintf "fleet/s%d" shards in
+  let prefixed text =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> l <> "")
+    |> List.iter (fun l -> Buffer.add_string buf (Printf.sprintf "%s %s\n" label l))
+  in
+  prefixed (Jord_fleet.Fleet.summary t);
+  (match Jord_fleet.Fleet.rollup t with
+  | Some r -> prefixed (Jord_obsv.Rollup.report_text r)
+  | None -> ());
+  Buffer.add_string buf
+    (Printf.sprintf "%s events=%d latency_mean_ps=%s\n" label
+       (Jord_fleet.Fleet.events_processed t)
+       (f17 (Jord_telemetry.Sketch.mean (Jord_fleet.Fleet.latency t))))
+
 (* Every scenario is a self-contained seeded simulation writing its own
    buffer, so the list can run on a domain pool: parmap returns the pieces
    in this exact order and the concatenation is byte-identical to a
@@ -201,6 +246,7 @@ let scenarios ~shards : (unit -> string) list =
         ("hotel-ni", Jord_workloads.Hotel.app, Variant.Jord_ni, 0.8);
         ("hipster-nightcore", Jord_workloads.Hipster.app, Variant.Nightcore, 0.4);
       ]
+  @ List.map (fun shards -> in_buf (fleet ~shards)) [ 1; 2 ]
 
 let report ?(jobs = 1) ?(shards = 1) () =
   let scenarios = scenarios ~shards in
