@@ -22,6 +22,10 @@ let schedule_handle t ~after f =
 let schedule_at t ~time f = ignore (schedule_at_handle t ~time f : handle)
 let schedule t ~after f = ignore (schedule_handle t ~after f : handle)
 
+let schedule_ranked t ~time ~rank f =
+  if time < t.now then invalid_arg "Engine.schedule_ranked: time in the past";
+  ignore (Event_queue.push_ranked t.queue ~time ~rank f : handle)
+
 let cancel t h =
   let ok = Event_queue.cancel t.queue h in
   if ok then t.cancelled <- t.cancelled + 1;

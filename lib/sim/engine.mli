@@ -37,6 +37,15 @@ val schedule_at_handle : t -> time:Time.t -> (t -> unit) -> handle
 (** As {!schedule} / {!schedule_at}, returning a handle for {!cancel} /
     {!reschedule}. *)
 
+val schedule_ranked : t -> time:Time.t -> rank:int -> (t -> unit) -> unit
+(** [schedule_ranked t ~time ~rank f] runs [f] at absolute [time >= now t],
+    ahead of every event scheduled by the other functions for the same
+    instant; ranked events at one instant run in ascending [rank] (see
+    {!Event_queue.push_ranked}). A self-rescheduling stream that passes
+    each event's stream index as [rank] runs exactly as if the whole
+    stream had been scheduled up front, before any other event, while the
+    queue holds only one of its events at a time. *)
+
 val cancel : t -> handle -> bool
 (** Remove a pending event. [false] if it already fired or was cancelled
     (stale handles are always safe to pass). *)

@@ -4,7 +4,8 @@
     Ties are broken by insertion order so the simulation is deterministic:
     two events scheduled for the same instant fire in the order they were
     scheduled, and the pop sequence depends only on the push sequence, never
-    on the heap's internal shape.
+    on the heap's internal shape. {!push_ranked} is the one exception: it
+    places an event ahead of every ordinary event at its instant.
 
     The heap is a structure of parallel [int] arrays, so a push performs no
     heap allocation once the backing arrays are warm — the engine's
@@ -29,6 +30,18 @@ val length : 'a t -> int
 
 val push : 'a t -> time:Time.t -> 'a -> handle
 (** Schedule a payload; the handle can later [cancel] or [reschedule] it. *)
+
+val push_ranked : 'a t -> time:Time.t -> rank:int -> 'a -> handle
+(** Schedule a payload ahead of every ordinary event at the same instant.
+    Among ranked events at one instant, lower [rank] fires first. A ranked
+    push does not advance the insertion counter, so it leaves the relative
+    order of ordinary events untouched. This is how a stream that produces
+    its events one at a time (the fleet's arrival stream, which reschedules
+    itself) fires in exactly the order it would have had if every event
+    had been pushed up front, before anything else: pass the event's index
+    in the stream as [rank]. A {!reschedule} turns a ranked event into an
+    ordinary one.
+    @raise Invalid_argument if [rank < 0]. *)
 
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest event. *)

@@ -169,6 +169,187 @@ let test_reschedule_resequences () =
   Alcotest.(check (option (pair int string))) "stays first" (Some (10, "stays")) (Eq.pop q);
   Alcotest.(check (option (pair int string))) "moved second" (Some (10, "moved")) (Eq.pop q)
 
+(* --- Ranked pushes --- *)
+
+type rop =
+  | R_push of int (* time *)
+  | R_ranked of int * int (* time, rank hint *)
+  | R_pop
+  | R_cancel of int
+  | R_resched of int * int
+
+let gen_rop =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun t -> R_push t) (int_bound 20));
+        (4, map2 (fun t r -> R_ranked (t, r)) (int_bound 20) (int_bound 500));
+        (4, return R_pop);
+        (1, map (fun i -> R_cancel i) (int_bound 200));
+        (1, map2 (fun i t -> R_resched (i, t)) (int_bound 200) (int_bound 20));
+      ])
+
+let print_rop = function
+  | R_push t -> Printf.sprintf "push %d" t
+  | R_ranked (t, r) -> Printf.sprintf "ranked %d r%d" t r
+  | R_pop -> "pop"
+  | R_cancel i -> Printf.sprintf "cancel #%d" i
+  | R_resched (i, t) -> Printf.sprintf "resched #%d @%d" i t
+
+(* The model orders by (time, key): an ordinary event's key is its
+   insertion number, counting only ordinary pushes and reschedules; a
+   ranked event's key is [min_int + rank]. Ranks are kept unique (a used
+   hint moves to the next free rank), as a stream's indices are. *)
+let ranked_agrees ops =
+  let q = Eq.create () in
+  let model = ref [] in
+  let handles = ref [||] in
+  let next_id = ref 0 and next_seq = ref 0 in
+  let used = Hashtbl.create 16 in
+  let rec fresh_rank r = if Hashtbl.mem used r then fresh_rank (r + 1) else r in
+  let record h =
+    handles := Array.append !handles [| (h, !next_id) |];
+    incr next_id
+  in
+  let model_pop () =
+    match
+      List.fold_left
+        (fun best ((t, k, _) as e) ->
+          match best with
+          | Some (bt, bk, _) when bt < t || (bt = t && bk < k) -> best
+          | _ -> Some e)
+        None !model
+    with
+    | None -> None
+    | Some ((_, _, id) as e) ->
+        model := List.filter (fun (_, _, i) -> i <> id) !model;
+        Some e
+  in
+  let ok = ref true in
+  let pop_check () =
+    match (Eq.pop q, model_pop ()) with
+    | None, None -> ()
+    | Some (t, id), Some (mt, _, mid) -> ok := !ok && t = mt && id = mid
+    | _ -> ok := false
+  in
+  List.iter
+    (fun op ->
+      if !ok then begin
+        (match op with
+        | R_push t ->
+            let h = Eq.push q ~time:t !next_id in
+            model := (t, !next_seq, !next_id) :: !model;
+            incr next_seq;
+            record h
+        | R_ranked (t, hint) ->
+            let rank = fresh_rank hint in
+            Hashtbl.replace used rank ();
+            let h = Eq.push_ranked q ~time:t ~rank !next_id in
+            model := (t, min_int + rank, !next_id) :: !model;
+            record h
+        | R_pop -> pop_check ()
+        | R_cancel i ->
+            if Array.length !handles > 0 then begin
+              let h, id = !handles.(i mod Array.length !handles) in
+              let live = List.exists (fun (_, _, j) -> j = id) !model in
+              let r = Eq.cancel q h in
+              ok := !ok && r = live;
+              if r then model := List.filter (fun (_, _, j) -> j <> id) !model
+            end
+        | R_resched (i, t) ->
+            if Array.length !handles > 0 then begin
+              let h, id = !handles.(i mod Array.length !handles) in
+              let live = List.exists (fun (_, _, j) -> j = id) !model in
+              let r = Eq.reschedule q h ~time:t in
+              ok := !ok && r = live;
+              if r then begin
+                (* A rescheduled event, ranked or not, becomes ordinary. *)
+                model := (t, !next_seq, id) :: List.filter (fun (_, _, j) -> j <> id) !model;
+                incr next_seq
+              end
+            end);
+        ok := !ok && Eq.invariants_ok q && Eq.length q = List.length !model
+      end)
+    ops;
+  while !ok && not (Eq.is_empty q) do
+    pop_check ();
+    ok := !ok && Eq.invariants_ok q
+  done;
+  !ok && !model = []
+
+let prop_ranked_model =
+  QCheck.Test.make ~name:"ranked and ordinary pushes = (time, key) model" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map print_rop l))
+       QCheck.Gen.(list_size (int_bound 200) gen_rop))
+    ranked_agrees
+
+let test_ranked_before_ordinary () =
+  let q = Eq.create () in
+  ignore (Eq.push q ~time:7 "o1" : Eq.handle);
+  ignore (Eq.push_ranked q ~time:7 ~rank:5 "r5" : Eq.handle);
+  ignore (Eq.push q ~time:3 "early" : Eq.handle);
+  ignore (Eq.push_ranked q ~time:7 ~rank:2 "r2" : Eq.handle);
+  ignore (Eq.push q ~time:7 "o2" : Eq.handle);
+  ignore (Eq.push_ranked q ~time:7 ~rank:9 "r9" : Eq.handle);
+  let order = List.init 6 (fun _ -> snd (Option.get (Eq.pop q))) in
+  Alcotest.(check (list string))
+    "earlier time first; then ranked by rank; then ordinary in push order"
+    [ "early"; "r2"; "r5"; "r9"; "o1"; "o2" ]
+    order;
+  Alcotest.check_raises "negative rank"
+    (Invalid_argument "Event_queue.push_ranked: negative rank") (fun () ->
+      ignore (Eq.push_ranked q ~time:0 ~rank:(-1) "x" : Eq.handle))
+
+(* The fleet's use: a stream that keeps one ranked event pending and
+   reschedules itself must fire exactly as the whole stream pushed up
+   front, before any other event. Each arrival schedules a follow-up
+   [delay] later (0 makes ties with later arrivals), and an ordinary
+   periodic ticker runs alongside. *)
+let prop_ranked_stream =
+  QCheck.Test.make ~name:"self-rescheduling ranked stream = pre-scheduled stream"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 60) (pair (int_bound 3) (int_bound 4)))
+    (fun steps ->
+      let arrivals =
+        let t = ref 0 in
+        Array.of_list
+          (List.map
+             (fun (gap, delay) ->
+               t := !t + gap;
+               (!t, delay))
+             steps)
+      in
+      let n = Array.length arrivals in
+      let run streamed =
+        let e = Engine.create () in
+        let log = ref [] in
+        let arrive i eng =
+          log := (Printf.sprintf "a%d" i, Engine.now eng) :: !log;
+          let _, delay = arrivals.(i) in
+          Engine.schedule eng ~after:delay (fun eng ->
+              log := (Printf.sprintf "f%d" i, Engine.now eng) :: !log)
+        in
+        let rec tick k eng =
+          log := (Printf.sprintf "t%d" k, Engine.now eng) :: !log;
+          if k < 20 then Engine.schedule eng ~after:2 (tick (k + 1))
+        in
+        if streamed then begin
+          let rec fire i eng =
+            arrive i eng;
+            if i + 1 < n then
+              Engine.schedule_ranked eng ~time:(fst arrivals.(i + 1)) ~rank:(i + 1)
+                (fire (i + 1))
+          in
+          Engine.schedule_ranked e ~time:(fst arrivals.(0)) ~rank:0 (fire 0)
+        end
+        else Array.iteri (fun i (t, _) -> Engine.schedule_at e ~time:t (arrive i)) arrivals;
+        Engine.schedule e ~after:0 (tick 0);
+        Engine.run e;
+        List.rev !log
+      in
+      run true = run false)
+
 (* --- Engine-level: cancel/reschedule and run ~until semantics --- *)
 
 let test_engine_cancel () =
@@ -222,6 +403,10 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_model;
     QCheck_alcotest.to_alcotest prop_fifo;
+    QCheck_alcotest.to_alcotest prop_ranked_model;
+    QCheck_alcotest.to_alcotest prop_ranked_stream;
+    Alcotest.test_case "ranked before ordinary at an instant" `Quick
+      test_ranked_before_ordinary;
     Alcotest.test_case "handle staleness + slot reuse" `Quick test_handle_staleness;
     Alcotest.test_case "reschedule re-sequences ties" `Quick test_reschedule_resequences;
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
