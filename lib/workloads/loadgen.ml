@@ -100,18 +100,15 @@ let run_cluster ?(warmup = 2000) ?tracer ?on_cluster ?forward_after ?(shards = 1
   Cluster.run ~until:(Time.of_us (3.0 *. duration_us)) cluster;
   (cluster, recorder)
 
-(* Population traffic (fleet layer): walk a {!Traffic} stream and hand every
-   arrival to the caller. The stream is the same whether walked here or
-   materialized by {!Traffic.pregen} — the fleet pre-schedules through this
-   before its engines start, which is what keeps sharded runs identical. *)
+(* Population traffic: walk a {!Traffic} stream and hand every arrival to
+   the caller. The stream is the same whether walked here, materialized by
+   {!Traffic.pregen}, or drawn one arrival at a time by the fleet's
+   arrival event. *)
 let population ~submit ~shape ~duration_us () =
   let stream = Traffic.make shape ~duration_us in
-  let rec go () =
-    match Traffic.next stream with
-    | Some { Traffic.at; user } ->
-        submit ~time:at ~user;
-        go ()
-    | None -> ()
-  in
-  go ();
+  let user = ref (Traffic.next_user stream) in
+  while !user >= 0 do
+    submit ~time:(Traffic.at stream) ~user:!user;
+    user := Traffic.next_user stream
+  done;
   Traffic.generated stream

@@ -72,6 +72,5 @@ val population :
 (** Open-loop population traffic: draw the whole {!Traffic} arrival stream
     for [shape] over [duration_us] and pass each arrival to [submit] in
     nondecreasing time order, returning the arrival count. Byte-identical
-    to walking {!Traffic.pregen} — the fleet layer uses it to pre-schedule
-    arrivals before any engine runs, so sharded runs see the exact same
-    schedule as sequential ones. *)
+    to walking {!Traffic.pregen}, and to the fleet layer's arrivals, which
+    draw the same stream one arrival at a time. *)
