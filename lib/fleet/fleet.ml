@@ -61,6 +61,7 @@ type t = {
   mutable tracer : Jord_obsv.Ftrace.t option;
   mutable slo_objs : Jord_obsv.Slo.objective list;  (* the "slo" keep rule *)
   mutable arrivals : int;
+  mutable next_user : int;  (* user of the pending arrival event *)
   mutable routed : int;
   mutable affinity_hits : int;
   mutable completed : int;
@@ -173,9 +174,8 @@ let record_span t ~tracer ~req ~user ~entry ~server ~hit ~outcome ~submit_ps
   Jord_obsv.Ftrace.record tracer ?keep sp;
   req
 
-let finish_drain t s =
-  t.state.(s) <- Down;
-  Lb.forget t.lb s
+(* The balancer forgot [s] when it left [Up] (see [scale_down]). *)
+let finish_drain t s = t.state.(s) <- Down
 
 let complete t ~server ~entry ~submit_ps ~req ~user ~hit ~ok ~queue_ps ~cold_ps
     ~service_ps =
@@ -211,9 +211,9 @@ let complete t ~server ~entry ~submit_ps ~req ~user ~hit ~ok ~queue_ps ~cold_ps
   if t.state.(server) = Draining && t.outstanding.(server) = 0 then finish_drain t server
 
 let route t ~user =
-  (* Request ids are arrival indices: arrivals are pre-scheduled on the
-     balancer engine in generation order, so the numbering is identical at
-     any shard count. *)
+  (* Request ids are arrival indices: arrivals fire on the balancer engine
+     in generation order, so the numbering is identical at any shard
+     count. *)
   let req = t.arrivals in
   t.arrivals <- t.arrivals + 1;
   let entry = entry_of_user t ~user in
@@ -300,6 +300,9 @@ let scale_down t k ~util =
     let s = !i in
     if t.state.(s) = Up then begin
       t.state.(s) <- Draining;
+      (* Warm routes hold Up members only: a draining member comes back
+         only through [finish_drain] and a cold boot. *)
+      Lb.forget t.lb s;
       t.up_count <- t.up_count - 1;
       t.drains <- t.drains + 1;
       incr drained;
@@ -451,6 +454,7 @@ let create cfg ~app =
       tracer = None;
       slo_objs = [];
       arrivals = 0;
+      next_user = -1;
       routed = 0;
       affinity_hits = 0;
       completed = 0;
@@ -495,15 +499,26 @@ let run ?(slo = []) ?tracer t ~shape ~duration_us =
   | _ -> ());
   t.traffic <- Some shape;
   t.duration_us <- duration_us;
-  (* Pre-schedule the whole arrival stream on the balancer engine before
-     anything runs: the schedule is a pure function of the shape, so it is
-     identical at every shard count. *)
-  let (_ : int) =
-    Jord_workloads.Loadgen.population
-      ~submit:(fun ~time ~user ->
-        Engine.schedule_at t.engine ~time (fun _ -> route t ~user))
-      ~shape ~duration_us ()
+  (* Stream the arrivals: one reusable event on the balancer engine routes
+     the pending arrival, draws the next and reschedules itself, so the
+     queue holds in-flight work only. Ranked by arrival index, it fires
+     exactly where the whole pre-scheduled stream would have: ahead of
+     every other event at its instant, in generation order. The stream is
+     a pure function of the shape, so it is identical at every shard
+     count; the balancer owns shard 0, so epochs do not move either. *)
+  let stream = Traffic.make shape ~duration_us in
+  let rec arrive _ =
+    route t ~user:t.next_user;
+    schedule_next ()
+  and schedule_next () =
+    let user = Traffic.next_user stream in
+    if user >= 0 then begin
+      t.next_user <- user;
+      Engine.schedule_ranked t.engine ~time:(Traffic.at stream)
+        ~rank:(Traffic.generated stream - 1) arrive
+    end
   in
+  schedule_next ();
   (match t.autoscale with
   | None -> ()
   | Some (spec, ctl) ->

@@ -9,8 +9,11 @@
     byte-identical to the sequential one. All routing state (outstanding
     counts, warm routes, lifecycle) is balancer-local and updated only by
     balancer-shard events; all member state is updated only by delivered
-    messages. Arrivals are pre-scheduled from the deterministic
-    {!Jord_workloads.Traffic} stream before any engine runs.
+    messages. Arrivals are streamed from the deterministic
+    {!Jord_workloads.Traffic} stream by one self-rescheduling, rank-ordered
+    event on the balancer engine ({!Jord_sim.Engine.schedule_ranked}), so
+    they fire exactly as a schedule pushed before any engine ran would,
+    while host memory stays O(in-flight requests).
 
     The autoscaling controller ticks on the balancer engine at sim-time
     cadence, sampling the fleet's own {!Jord_telemetry} gauges
@@ -52,8 +55,9 @@ val run :
   shape:Jord_workloads.Traffic.shape ->
   duration_us:float ->
   unit
-(** Pre-schedule the whole arrival stream, start the autoscaler cadence,
-    and run to [3 * duration_us] (the drain horizon). With [?slo] a
+(** Stream the arrivals (one pending arrival event at a time, drawn as
+    the previous one fires), start the autoscaler cadence, and run to
+    [3 * duration_us] (the drain horizon). With [?slo] a
     {!Jord_obsv.Rollup} collects per-objective verdicts. With [?tracer]
     every request gets an {!Jord_obsv.Fspan} with exact phase attribution,
     tail-sampled deterministically: request ids are arrival indices, shed /

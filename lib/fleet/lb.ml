@@ -36,10 +36,10 @@ type view = {
 type t = {
   pol : policy;
   mutable rr : int;
-  warm : (int, int list ref) Hashtbl.t;  (* entry -> warm server ids *)
+  mutable warm : int list array;  (* entry -> warm server ids, Up only *)
 }
 
-let create pol = { pol; rr = 0; warm = Hashtbl.create 8 }
+let create pol = { pol; rr = 0; warm = [||] }
 let policy t = t.pol
 
 (* Lowest id among routable servers with minimal outstanding. *)
@@ -67,41 +67,39 @@ let round_robin t v =
   in
   go 0
 
-let warm_list t entry =
-  match Hashtbl.find_opt t.warm entry with
-  | Some l -> l
-  | None ->
-      let l = ref [] in
-      Hashtbl.add t.warm entry l;
-      l
+let ensure_entry t entry =
+  let n = Array.length t.warm in
+  if entry >= n then begin
+    let warm = Array.make (Int.max (entry + 1) (2 * n)) [] in
+    Array.blit t.warm 0 warm 0 n;
+    t.warm <- warm
+  end
+
+(* The (outstanding, id) minimum of a warm list, or -1 when it is empty. *)
+let rec best_warm v best best_out = function
+  | [] -> best
+  | s :: rest ->
+      let o = v.outstanding s in
+      if best < 0 || o < best_out || (o = best_out && s < best) then best_warm v s o rest
+      else best_warm v best best_out rest
 
 let pick t v ~entry =
   match t.pol with
   | Round_robin -> Option.map (fun s -> (s, false)) (round_robin t v)
   | Least_outstanding -> Option.map (fun s -> (s, false)) (least_outstanding v)
   | Affinity -> (
-      let l = warm_list t entry in
-      (* Drop servers that stopped being routable (drained or down). *)
-      l := List.filter v.routable !l;
-      let best_warm =
-        List.fold_left
-          (fun acc s ->
-            match acc with
-            | Some b when v.outstanding b < v.outstanding s -> acc
-            | Some b when v.outstanding b = v.outstanding s && b < s -> acc
-            | _ -> Some s)
-          None !l
-      in
-      match best_warm with
-      | Some s when v.outstanding s < v.spill -> Some (s, true)
-      | _ -> (
-          (* Spill: open the entry on the least-loaded server and remember
-             the new warm route. *)
-          match least_outstanding v with
-          | None -> None
-          | Some s ->
-              if not (List.mem s !l) then l := s :: !l;
-              Some (s, false)))
+      ensure_entry t entry;
+      let l = t.warm.(entry) in
+      let s = best_warm v (-1) max_int l in
+      if s >= 0 && v.outstanding s < v.spill then Some (s, true)
+      else
+        (* Spill: open the entry on the least-loaded server and remember
+           the new warm route. *)
+        match least_outstanding v with
+        | None -> None
+        | Some s ->
+            if not (List.mem s l) then t.warm.(entry) <- s :: l;
+            Some (s, false))
 
 let forget t sid =
-  Hashtbl.iter (fun _ l -> l := List.filter (fun s -> s <> sid) !l) t.warm
+  Array.iteri (fun e l -> t.warm.(e) <- List.filter (fun s -> s <> sid) l) t.warm

@@ -66,6 +66,41 @@ let test_lb_affinity () =
   check "forgotten server no longer warm-preferred" true ((s5, hit5) = (1, true));
   ignore s5
 
+(* Warm routes hold routable servers only because the caller forgets a
+   server when it stops being routable; pick trusts them. A forgotten
+   server, however idle, is never warm-picked again until a spill opens
+   the entry on it anew. *)
+let test_lb_forget_and_respill () =
+  let lb = Lb.create Lb.Affinity in
+  let out = [| 0; 0; 0; 0 |] in
+  let up = [| true; true; true; true |] in
+  let v = mk_view ~routable:(fun i -> up.(i)) ~outstanding:out ~n:4 ~spill:2 () in
+  let pick () = Option.get (Lb.pick lb v ~entry:3) in
+  check "opens on 0" true (pick () = (0, false));
+  out.(0) <- 2;
+  check "spills to 1" true (pick () = (1, false));
+  out.(1) <- 1;
+  check "1 is warm" true (pick () = (1, true));
+  (* Server 1 drains: the caller forgets it as it leaves the routable set. *)
+  up.(1) <- false;
+  Lb.forget lb 1;
+  out.(1) <- 0;
+  out.(0) <- 1;
+  check "forgotten 1 is not warm-picked; 0 is" true (pick () = (0, true));
+  out.(0) <- 2;
+  check "saturated 0 spills to the least-loaded routable server" true
+    (pick () = (2, false));
+  (* Server 1 comes back (a cold boot) and is idle; it is not warm until a
+     spill picks it. *)
+  up.(1) <- true;
+  out.(2) <- 1;
+  check "returned 1 is still not warm" true (pick () = (2, true));
+  out.(2) <- 2;
+  check "spill re-opens the entry on 1" true (pick () = (1, false));
+  out.(2) <- 0;
+  out.(1) <- 0;
+  check "re-spilled 1 is warm again and wins the id tie" true (pick () = (1, true))
+
 (* --- Autoscaler --- *)
 
 let test_autoscaler_hysteresis () =
@@ -293,6 +328,8 @@ let suite =
     Alcotest.test_case "lb: round robin" `Quick test_lb_round_robin;
     Alcotest.test_case "lb: least outstanding" `Quick test_lb_least_outstanding;
     Alcotest.test_case "lb: affinity warm routes and spill" `Quick test_lb_affinity;
+    Alcotest.test_case "lb: forgotten server never warm, re-spill re-warms" `Quick
+      test_lb_forget_and_respill;
     Alcotest.test_case "autoscaler: hysteresis" `Quick test_autoscaler_hysteresis;
     Alcotest.test_case "autoscaler: spec grammar" `Quick test_autoscaler_spec;
     Alcotest.test_case "rollup: verdicts and burn" `Quick test_rollup_verdicts;
