@@ -41,7 +41,7 @@ let hops t a b =
 let latency_table t = t.lat
 let latency_ns t ~src ~dst = Float.Array.get t.lat ((src * cores t) + dst)
 
-let slice_of_line t ?(requester = 0) addr =
+let slice_of_line t ~requester addr =
   let socket = socket_of t requester in
   let per = Int.min t.per_socket (cores t - (socket * t.per_socket)) in
   (socket * t.per_socket) + (abs (addr / t.cfg.Config.line) mod per)

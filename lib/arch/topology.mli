@@ -31,11 +31,10 @@ val latency_table : t -> Float.Array.t
     Per-access paths index it directly instead of calling {!latency_ns},
     whose float result is boxed across the module boundary. Read-only. *)
 
-val slice_of_line : t -> ?requester:int -> int -> int
+val slice_of_line : t -> requester:int -> int -> int
 (** Home core/tile (slice index) of a physical byte address. Lines are
-    interleaved at cache-line granularity across the tiles of one socket:
-    the requester's socket when given (first-touch NUMA placement), socket
-    0 otherwise. *)
+    interleaved at cache-line granularity across the tiles of the
+    requester's socket (first-touch NUMA placement). *)
 
 val max_distance_ns : t -> from:int -> float
 (** One-way latency to the farthest tile in the machine — the limiting term

@@ -28,3 +28,14 @@ let insert v ~lo ~width ~field =
   if lo < 0 || width <= 0 || lo + width > 62 then invalid_arg "Bits.insert";
   let mask = ((1 lsl width) - 1) lsl lo in
   v land lnot mask lor ((field lsl lo) land mask)
+
+(* Binary search over halves of the word. *)
+let lowest_bit w =
+  let w = ref w and n = ref 0 in
+  if !w land 0xFFFFFFFF = 0 then begin n := 32; w := !w lsr 32 end;
+  if !w land 0xFFFF = 0 then begin n := !n + 16; w := !w lsr 16 end;
+  if !w land 0xFF = 0 then begin n := !n + 8; w := !w lsr 8 end;
+  if !w land 0xF = 0 then begin n := !n + 4; w := !w lsr 4 end;
+  if !w land 0x3 = 0 then begin n := !n + 2; w := !w lsr 2 end;
+  if !w land 0x1 = 0 then incr n;
+  !n

@@ -25,3 +25,6 @@ val extract : int -> lo:int -> width:int -> int
 val insert : int -> lo:int -> width:int -> field:int -> int
 (** [insert v ~lo ~width ~field] replaces the bit field [v[lo..lo+width-1]]
     with the low [width] bits of [field]. *)
+
+val lowest_bit : int -> int
+(** [lowest_bit w] is the index of the lowest set bit of a non-zero [w]. *)

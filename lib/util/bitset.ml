@@ -34,17 +34,6 @@ let clear t =
   Array.fill t.words 0 (Array.length t.words) 0;
   t.cardinal <- 0
 
-(* Index of the lowest set bit of a non-zero word (binary search). *)
-let lowest_bit w =
-  let w = ref w and n = ref 0 in
-  if !w land 0xFFFFFFFF = 0 then begin n := 32; w := !w lsr 32 end;
-  if !w land 0xFFFF = 0 then begin n := !n + 16; w := !w lsr 16 end;
-  if !w land 0xFF = 0 then begin n := !n + 8; w := !w lsr 8 end;
-  if !w land 0xF = 0 then begin n := !n + 4; w := !w lsr 4 end;
-  if !w land 0x3 = 0 then begin n := !n + 2; w := !w lsr 2 end;
-  if !w land 0x1 = 0 then incr n;
-  !n
-
 let next_set t i =
   let i = Int.max i 0 in
   if i >= t.capacity then -1
@@ -56,7 +45,7 @@ let next_set t i =
       incr w;
       word := t.words.(!w)
     done;
-    if !word = 0 then -1 else (!w * 62) + lowest_bit !word
+    if !word = 0 then -1 else (!w * 62) + Bits.lowest_bit !word
   end
 
 (* Visit each word's members from a snapshot of the word, lowest bit first,
@@ -65,7 +54,7 @@ let iter f t =
   for w = 0 to Array.length t.words - 1 do
     let word = ref t.words.(w) in
     while !word <> 0 do
-      f ((w * 62) + lowest_bit !word);
+      f ((w * 62) + Bits.lowest_bit !word);
       word := !word land (!word - 1)
     done
   done

@@ -179,6 +179,44 @@ let prop_cache_matches_lru_model =
                (List.init 24 Fun.id))
         ops)
 
+(* The slot API ([lookup_way], [state_at], [set_state_at], [insert_absent])
+   drives one cache and the line API ([lookup], [set_state], [insert])
+   another through the same accesses: states, victims and LRU order must
+   stay identical. [insert_absent] is only called on absent lines. *)
+let prop_slot_api_matches_line_api =
+  QCheck.Test.make ~name:"slot API agrees with the line API" ~count:300
+    QCheck.(
+      pair bool
+        (list_of_size Gen.(0 -- 150) (triple (int_bound 3) (int_bound 23) (int_bound 3))))
+    (fun (pow2, ops) ->
+      let sets = if pow2 then 4 else 3 in
+      let mk () = Cache.create ~size:(sets * 2 * 64) ~ways:2 ~line:64 in
+      let a = mk () and b = mk () in
+      let state_of i = [| Mesi.Modified; Mesi.Exclusive; Mesi.Shared; Mesi.Invalid |].(i) in
+      List.for_all
+        (fun (op, line, st) ->
+          let same =
+            match op with
+            | 0 ->
+                let i = Cache.lookup_way a line in
+                (if i < 0 then Mesi.Invalid else Cache.state_at a i) = Cache.lookup b line
+            | 1 ->
+                let st = state_of (st mod 3) in
+                if Cache.peek a line = Mesi.Invalid then
+                  Cache.insert_absent a line st = Cache.insert b line st
+                else Cache.insert a line st = Cache.insert b line st
+            | 2 ->
+                let i = Cache.lookup_way a line in
+                if i >= 0 then Cache.set_state_at a i (state_of st);
+                if Cache.lookup b line <> Mesi.Invalid then Cache.set_state b line (state_of st);
+                true
+            | _ -> Cache.invalidate a line = Cache.invalidate b line
+          in
+          same
+          && Cache.count_valid a = Cache.count_valid b
+          && List.for_all (fun l -> Cache.peek a l = Cache.peek b l) (List.init 24 Fun.id))
+        ops)
+
 let suite =
   [
     Alcotest.test_case "config scaling" `Quick test_config_scaling;
@@ -193,4 +231,5 @@ let suite =
     Alcotest.test_case "cache set_state" `Quick test_cache_set_state;
     QCheck_alcotest.to_alcotest prop_cache_valid_count;
     QCheck_alcotest.to_alcotest prop_cache_matches_lru_model;
+    QCheck_alcotest.to_alcotest prop_slot_api_matches_line_api;
   ]
