@@ -330,21 +330,6 @@ let touch t fp ~va =
   let last = Footprint.last_read fp in
   if last >= 0 then Footprint.write fp last
 
-let rec iter_node f node =
-  if node.leaf then
-    for i = 0 to node.n - 1 do
-      match node.vals.(i) with Some v -> f v | None -> ()
-    done
-  else begin
-    for i = 0 to node.n - 1 do
-      iter_node f (kid node i);
-      match node.vals.(i) with Some v -> f v | None -> ()
-    done;
-    iter_node f (kid node node.n)
-  end
-
-let iter f t = iter_node f t.root
-
 let check_invariants t =
   let exception Bad of string in
   let rec check node ~is_root ~lo ~hi ~depth =

@@ -40,5 +40,3 @@ val rebalance_ops : t -> int
 val check_invariants : t -> (unit, string) result
 (** Structural validation (key ordering, occupancy bounds, uniform leaf
     depth) for property tests. *)
-
-val iter : (Vte.t -> unit) -> t -> unit

@@ -39,6 +39,3 @@ let search_instrs t =
   match t.impl with
   | Plain _ -> 4 (* shift/mask/add to compute the VTE address *)
   | Btree b -> 18 * (Vma_btree.height b + 1) (* binary search per level *)
-
-let iter f t =
-  match t.impl with Plain p -> Vma_table.iter f p | Btree b -> Vma_btree.iter f b

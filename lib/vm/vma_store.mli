@@ -30,5 +30,3 @@ val count : t -> int
 val search_instrs : t -> int
 (** Straight-line instruction cost of locating an entry: near-zero address
     arithmetic for the plain list; per-level comparisons for the B-tree. *)
-
-val iter : (Vte.t -> unit) -> t -> unit

@@ -1,15 +1,12 @@
-(* Iterated by [iter]: keep the generic hash so bucket order is unchanged. *)
-module Slots = Hashtbl.Make (struct
-  type t = int
+(* Entries indexed by VTE slot, as the hardware addresses them; the array
+   grows by doubling up to the highest slot inserted. *)
+type t = { cfg : Va.config; mutable entries : Vte.t option array; mutable count : int }
 
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
-type t = { cfg : Va.config; entries : Vte.t Slots.t }
-
-let create cfg = { cfg; entries = Slots.create 1024 }
+let create cfg = { cfg; entries = Array.make 64 None; count = 0 }
 let config t = t.cfg
+
+(* The stored option of a non-negative slot, [None] past the array. *)
+let at t slot = if slot < Array.length t.entries then t.entries.(slot) else None
 
 let lookup t fp ~va =
   Footprint.clear fp;
@@ -17,7 +14,7 @@ let lookup t fp ~va =
   if slot < 0 then None
   else begin
     Footprint.read fp (Va.slot_addr t.cfg slot);
-    match Slots.find_opt t.entries slot with
+    match at t slot with
     | Some vte as found when Vte.covers vte va -> found
     | Some _ | None -> None
   end
@@ -26,7 +23,7 @@ let find_base t ~base =
   let slot = Va.vte_slot t.cfg base in
   if slot < 0 then None
   else
-    match Slots.find_opt t.entries slot with
+    match at t slot with
     | Some vte as found when Vte.base vte = base -> found
     | Some _ | None -> None
 
@@ -34,8 +31,15 @@ let insert t fp vte =
   Footprint.clear fp;
   let slot = Va.vte_slot t.cfg (Vte.base vte) in
   if slot < 0 then invalid_arg "Vma_table.insert: not a Jord VA";
-  if Slots.mem t.entries slot then invalid_arg "Vma_table.insert: slot occupied";
-  Slots.add t.entries slot vte;
+  if at t slot <> None then invalid_arg "Vma_table.insert: slot occupied";
+  let n = Array.length t.entries in
+  if slot >= n then begin
+    let grown = Array.make (Jord_util.Bits.ceil_pow2 (slot + 1)) None in
+    Array.blit t.entries 0 grown 0 n;
+    t.entries <- grown
+  end;
+  t.entries.(slot) <- Some vte;
+  t.count <- t.count + 1;
   Footprint.write fp (Va.slot_addr t.cfg slot)
 
 let remove t fp ~va =
@@ -44,9 +48,10 @@ let remove t fp ~va =
   if slot < 0 then None
   else begin
     Footprint.write fp (Va.slot_addr t.cfg slot);
-    match Slots.find_opt t.entries slot with
+    match at t slot with
     | Some vte as found when Vte.covers vte va ->
-        Slots.remove t.entries slot;
+        t.entries.(slot) <- None;
+        t.count <- t.count - 1;
         found
     | Some _ | None -> None
   end
@@ -56,5 +61,4 @@ let touch t fp ~va =
   let slot = Va.vte_slot t.cfg va in
   if slot >= 0 then Footprint.write fp (Va.slot_addr t.cfg slot)
 
-let count t = Slots.length t.entries
-let iter f t = Slots.iter (fun _ vte -> f vte) t.entries
+let count t = t.count

@@ -3,7 +3,10 @@
     Because a VA encodes its own size class and index, the table entry
     position is computed — never searched. Every operation therefore touches
     exactly one VTE cache block, which is what makes VMA operations
-    nanosecond-scale. Operations record the byte addresses they touched in
+    nanosecond-scale. The model stores entries the same way: an array
+    indexed by VTE slot, grown by doubling to the highest slot inserted, so
+    no operation hashes or allocates beyond the entry it inserts.
+    Operations record the byte addresses they touched in
     a {!Footprint.t} so the caller can charge them through the memory
     model; every operation first clears the footprint it is given. *)
 
@@ -33,5 +36,3 @@ val touch : t -> Footprint.t -> va:int -> unit
 (** Record the write of an in-place VTE update (permission change). *)
 
 val count : t -> int
-
-val iter : (Vte.t -> unit) -> t -> unit

@@ -50,6 +50,41 @@ let test_plain_non_jord () =
   Alcotest.(check bool) "non-jord lookup" true (Vma_table.lookup t fp ~va:0x1234 = None);
   Alcotest.(check int) "non-jord lookup touches nothing" 0 (Footprint.n_reads fp)
 
+(* Slots far past the table's initial array: 300 4 KB entries are spread
+   over slots up to 300 * Size_class.count. *)
+let test_plain_growth () =
+  let t = Vma_table.create cfg in
+  let n = 300 in
+  for index = 0 to n - 1 do
+    Vma_table.insert t fp (mk_vte ~index ())
+  done;
+  Alcotest.(check int) "all inserted" n (Vma_table.count t);
+  let base index = Vte.base (mk_vte ~index ()) in
+  for index = 0 to n - 1 do
+    match Vma_table.find_base t ~base:(base index) with
+    | Some v -> Alcotest.(check int) "find_base" (base index) (Vte.base v)
+    | None -> Alcotest.failf "entry %d lost after growth" index
+  done;
+  for index = 0 to n - 1 do
+    if index mod 3 = 0 then
+      Alcotest.(check bool) "removed" true
+        (Vma_table.remove t fp ~va:(base index + 8) <> None)
+  done;
+  Alcotest.(check int) "count after removals" (n - 100) (Vma_table.count t);
+  Alcotest.(check bool) "removed entry absent" true
+    (Vma_table.find_base t ~base:(base 3) = None);
+  Alcotest.(check bool) "neighbour kept" true
+    (Vma_table.lookup t fp ~va:(base 4 + 1) <> None);
+  Vma_table.insert t fp (mk_vte ~index:3 ());
+  Alcotest.(check bool) "reinserted" true (Vma_table.find_base t ~base:(base 3) <> None);
+  Alcotest.(check int) "count after reinsert" (n - 99) (Vma_table.count t);
+  let beyond = Vte.base (mk_vte ~index:(10 * n) ()) in
+  Alcotest.(check bool) "past the array" true (Vma_table.lookup t fp ~va:beyond = None);
+  Alcotest.(check bool) "past the array, by base" true
+    (Vma_table.find_base t ~base:beyond = None);
+  Alcotest.(check bool) "remove past the array" true
+    (Vma_table.remove t fp ~va:beyond = None)
+
 (* --- B-tree --- *)
 
 let test_btree_basic () =
@@ -148,6 +183,7 @@ let suite =
     Alcotest.test_case "plain bound check" `Quick test_plain_bound_check;
     Alcotest.test_case "plain slot conflict" `Quick test_plain_slot_conflict;
     Alcotest.test_case "plain non-jord" `Quick test_plain_non_jord;
+    Alcotest.test_case "plain growth" `Quick test_plain_growth;
     Alcotest.test_case "btree basic" `Quick test_btree_basic;
     Alcotest.test_case "btree duplicate" `Quick test_btree_duplicate;
     Alcotest.test_case "btree growth/footprint" `Quick test_btree_growth_and_footprint;
