@@ -6,20 +6,12 @@ type shard = {
   head_addr : int; (* per-core head line: stays in the owner's L1 *)
 }
 
-(* Keeps the generic hash: bucket order stays that of a polymorphic table. *)
-module Live = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
 type class_list = {
   mutable free : chunk list; (* shared backing list *)
   mutable next_index : int;
   shared_head : int;
   shards : shard array; (* one per core *)
-  live : unit Live.t;
+  mutable live : Bytes.t; (* bitmap by chunk index, grown with [next_index] *)
 }
 
 type last = { mutable alloc_ns : float }
@@ -55,7 +47,7 @@ let create ~os ~va_cfg ?(refill_batch = 64) ?(cores = 512) ?(shard_batch = 16) (
               cached = 0;
               head_addr = head_region + (((core + 1) * n_classes * 64) + (c * 64));
             });
-      live = Live.create 64;
+      live = Bytes.make 8 '\000';
     }
   in
   {
@@ -69,6 +61,15 @@ let create ~os ~va_cfg ?(refill_batch = 64) ?(cores = 512) ?(shard_batch = 16) (
     alloc_counts = Array.make n_classes 0;
   }
 
+let is_live (cl : class_list) index =
+  index >= 0
+  && index lsr 3 < Bytes.length cl.live
+  && Bytes.get_uint8 cl.live (index lsr 3) land (1 lsl (index land 7)) <> 0
+
+let set_live (cl : class_list) index live =
+  let b = Bytes.get_uint8 cl.live (index lsr 3) and bit = 1 lsl (index land 7) in
+  Bytes.set_uint8 cl.live (index lsr 3) (if live then b lor bit else b land lnot bit)
+
 (* Refill the shared list from the OS through uat_config. *)
 let refill t cl sc =
   Os_facade.note_uat_config t.os;
@@ -76,6 +77,12 @@ let refill t cl sc =
   let limit = Jord_vm.Va.slots_per_class t.va_cfg in
   let n = Int.min t.refill_batch (limit - cl.next_index) in
   if n <= 0 then failwith "Free_list: size class exhausted";
+  let needed = Jord_util.Bits.ceil_div (cl.next_index + n) 8 in
+  if needed > Bytes.length cl.live then begin
+    let grown = Bytes.make (Jord_util.Bits.ceil_pow2 needed) '\000' in
+    Bytes.blit cl.live 0 grown 0 (Bytes.length cl.live);
+    cl.live <- grown
+  end;
   for _ = 1 to n do
     let index = cl.next_index in
     cl.next_index <- index + 1;
@@ -117,7 +124,7 @@ let alloc t ~memsys ~core sc =
   | chunk :: rest ->
       shard.cache <- rest;
       shard.cached <- shard.cached - 1;
-      Live.replace cl.live chunk.index ();
+      set_live cl chunk.index true;
       t.live <- t.live + 1;
       (* Pop from the core-local list: head line plus the chunk's embedded
          next pointer. *)
@@ -133,9 +140,9 @@ let alloc_ns t = t.last.alloc_ns
 
 let free t ~memsys ~core sc ~index ~phys =
   let cl = t.classes.(Jord_vm.Size_class.to_index sc) in
-  if not (Live.mem cl.live index) then
+  if not (is_live cl index) then
     Jord_vm.Fault.raise_fault (Jord_vm.Fault.Bad_handle "double free of VMA chunk");
-  Live.remove cl.live index;
+  set_live cl index false;
   let shard = cl.shards.(core mod Array.length cl.shards) in
   shard.cache <- { index; phys } :: shard.cache;
   shard.cached <- shard.cached + 1;

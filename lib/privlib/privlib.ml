@@ -49,15 +49,6 @@ let op_name = function
 
 let n_ops = List.length all_ops
 
-(* Folded by the grants gauge: keeps the generic hash, so bucket order is
-   that of a polymorphic table. *)
-module Grants = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
 (* Float accumulators in an all-float record are stored unboxed. *)
 type ns = {
   mutable vma_ns : float;
@@ -71,7 +62,7 @@ type t = {
   fl : Free_list.t;
   pds : Pd.t;
   mutable code_va : int option; (* PrivLib's own code VMA (I-VLB pressure) *)
-  grants : int Grants.t; (* PD id -> outstanding VMA permissions *)
+  mutable grants : int array; (* outstanding VMA permissions by PD id *)
   ns : ns;
   mutable vma_calls : int;
   mutable pd_calls : int;
@@ -190,7 +181,7 @@ let register_metrics t ?(labels = []) reg =
     [ (Vma_mgmt, "vma_mgmt"); (Pd_mgmt, "pd_mgmt") ];
   gauge_fn reg ~help:"Outstanding VMA grants across non-root PDs" ~labels
     "jord_privlib_outstanding_grants" (fun () ->
-      float_of_int (Grants.fold (fun _ v acc -> acc + v) t.grants 0))
+      float_of_int (Array.fold_left ( + ) 0 t.grants))
 
 let store t = Vm.Hw.store t.hw
 let footprint t = Vm.Vma_store.footprint (store t)
@@ -223,12 +214,19 @@ let check_dst_pd t pd = if pd = 0 then () else ignore (Pd.status t.pds pd)
    that still holds permissions would let a recycled PD id inherit them, so
    [cput] rejects it (the Figure-4 teardown always revokes first). *)
 let outstanding_grants t pd =
-  match Grants.find t.grants pd with v -> v | exception Not_found -> 0
+  if pd > 0 && pd < Array.length t.grants then t.grants.(pd) else 0
 
+(* A count that would drop to zero or below means no grant. Ids past the
+   array grow it by doubling; ids below 1 name no countable PD. *)
 let bump_grants t pd delta =
-  if pd <> 0 then begin
-    let v = outstanding_grants t pd + delta in
-    if v <= 0 then Grants.remove t.grants pd else Grants.replace t.grants pd v
+  if pd > 0 then begin
+    let n = Array.length t.grants in
+    if pd >= n then begin
+      let grown = Array.make (Jord_util.Bits.ceil_pow2 (pd + 1)) 0 in
+      Array.blit t.grants 0 grown 0 n;
+      t.grants <- grown
+    end;
+    t.grants.(pd) <- Int.max 0 (t.grants.(pd) + delta)
   end
 
 (* Apply a permission change on [vte] for [pd], keeping the grant counter in
@@ -439,7 +437,7 @@ let create ~hw ~os =
       fl = Free_list.create ~os ~va_cfg:(Vm.Hw.va_cfg hw) ();
       pds = Pd.create ();
       code_va = None;
-      grants = Grants.create 64;
+      grants = Array.make 64 0;
       ns = { vma_ns = 0.0; pd_ns = 0.0; lookup_ns = 0.0 };
       vma_calls = 0;
       pd_calls = 0;

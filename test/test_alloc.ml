@@ -35,6 +35,19 @@ let test_memsys_read_hit () =
   in
   check_at_most "L1-hit Memsys.read" ~limit:2.0 w
 
+(* Every call reads a line no core has touched: an L1 miss that creates the
+   line's directory entry and fills from DRAM. The directory's doublings
+   are amortised over the run; the boxed float result is the rest. *)
+let test_memsys_read_first_touch () =
+  let memsys, _, _ = machine () in
+  let next = ref 0 in
+  let w =
+    words_per_call ~iters:20_000 (fun () ->
+        incr next;
+        ignore (Memsys.read memsys ~core:0 ~addr:(0x1000_0000 + (!next * 64))))
+  in
+  check_at_most "first-touch Memsys.read" ~limit:4.0 w
+
 let test_hw_access_vlb_hit () =
   let _, hw, pl = machine () in
   let va, _ = Pl.mmap pl ~core:0 ~bytes:4096 ~perm:Jord_vm.Perm.rw () in
@@ -42,7 +55,20 @@ let test_hw_access_vlb_hit () =
     words_per_call ~iters:1000 (fun () ->
         ignore (Hw.access hw ~core:0 ~va ~access:Jord_vm.Perm.Read ~kind:`Data ~bytes:64))
   in
-  check_at_most "VLB-hit Hw.access" ~limit:12.0 w
+  check_at_most "VLB-hit Hw.access" ~limit:4.0 w
+
+(* The D-VLB is flushed before every access, so each one walks the VMA
+   table, registers with the VTD and refills the VLB. *)
+let test_hw_access_vlb_miss () =
+  let _, hw, pl = machine () in
+  let va, _ = Pl.mmap pl ~core:0 ~bytes:4096 ~perm:Jord_vm.Perm.rw () in
+  let dvlb = Jord_vm.Mmu.d_vlb (Hw.mmu hw ~core:0) in
+  let w =
+    words_per_call ~iters:1000 (fun () ->
+        Jord_vm.Vlb.invalidate_all dvlb;
+        ignore (Hw.access hw ~core:0 ~va ~access:Jord_vm.Perm.Read ~kind:`Data ~bytes:64))
+  in
+  check_at_most "VLB-miss Hw.access" ~limit:8.0 w
 
 let test_cget_cput () =
   let _, _, pl = machine () in
@@ -79,7 +105,9 @@ let test_traffic_draw () =
 let suite =
   [
     Alcotest.test_case "memsys read L1 hit" `Quick test_memsys_read_hit;
+    Alcotest.test_case "memsys read first touch" `Quick test_memsys_read_first_touch;
     Alcotest.test_case "hw access VLB hit" `Quick test_hw_access_vlb_hit;
+    Alcotest.test_case "hw access VLB miss" `Quick test_hw_access_vlb_miss;
     Alcotest.test_case "cget+cput" `Quick test_cget_cput;
     Alcotest.test_case "prng float" `Quick test_prng_float;
     Alcotest.test_case "traffic draw" `Quick test_traffic_draw;

@@ -233,6 +233,50 @@ let test_refill_uses_uat_config () =
   Alcotest.(check int) "no refill in steady state" mid
     (Jord_privlib.Os_facade.uat_config_calls os)
 
+let expect_fault msg f =
+  match f () with
+  | exception Fault.Fault (Fault.Bad_handle m) -> Alcotest.(check string) "fault" msg m
+  | _ -> Alcotest.failf "expected the fault %S" msg
+
+(* PD ids outside [1, max_pds) and ids never allocated are rejected by the
+   id-indexed tables with the same faults as before. *)
+let test_pd_invalid_ids () =
+  let pl, hw = make () in
+  let pds = Pd.create ~max_pds:16 () and memsys = Hw.memsys hw in
+  List.iter
+    (fun id ->
+      expect_fault "invalid PD id" (fun () -> Pd.status pds id);
+      expect_fault "invalid PD id" (fun () -> Pd.free pds ~memsys ~core:0 id);
+      Alcotest.(check bool) "not live" false (Pd.is_live pds id))
+    [ 0; -1; 16; max_int ];
+  expect_fault "PD not allocated" (fun () -> Pd.status pds 5);
+  let id = Pd.alloc pds ~memsys ~core:0 in
+  Alcotest.(check int) "one live" 1 (Pd.live_count pds);
+  ignore (Pd.free pds ~memsys ~core:0 id);
+  expect_fault "PD not allocated" (fun () -> Pd.free pds ~memsys ~core:0 id);
+  Alcotest.(check int) "none live" 0 (Pd.live_count pds);
+  Alcotest.(check int) "root holds no counted grants" 0 (Pl.outstanding_grants pl 0);
+  Alcotest.(check int) "unknown PD holds none" 0 (Pl.outstanding_grants pl 100_000)
+
+let test_free_list_double_free () =
+  let _, hw = make () in
+  let memsys = Hw.memsys hw in
+  let fl =
+    Jord_privlib.Free_list.create ~os:(Jord_privlib.Os_facade.create ())
+      ~va_cfg:Va.default_config ()
+  in
+  let sc = Size_class.of_size 256 in
+  let c = Jord_privlib.Free_list.alloc fl ~memsys ~core:0 sc in
+  let index = c.Jord_privlib.Free_list.index and phys = c.Jord_privlib.Free_list.phys in
+  ignore (Jord_privlib.Free_list.free fl ~memsys ~core:0 sc ~index ~phys);
+  let double = "double free of VMA chunk" in
+  expect_fault double (fun () -> Jord_privlib.Free_list.free fl ~memsys ~core:0 sc ~index ~phys);
+  expect_fault double (fun () ->
+      Jord_privlib.Free_list.free fl ~memsys ~core:0 sc ~index:(-1) ~phys);
+  expect_fault double (fun () ->
+      Jord_privlib.Free_list.free fl ~memsys ~core:0 sc ~index:1_000_000 ~phys);
+  Alcotest.(check int) "none live" 0 (Jord_privlib.Free_list.live_chunks fl)
+
 let suite =
   [
     Alcotest.test_case "mmap/munmap" `Quick test_mmap_munmap;
@@ -253,4 +297,6 @@ let suite =
       test_gate_entry_fault_clears_p_bit;
     Alcotest.test_case "accounting" `Quick test_accounting;
     Alcotest.test_case "uat_config refills" `Quick test_refill_uses_uat_config;
+    Alcotest.test_case "pd invalid ids" `Quick test_pd_invalid_ids;
+    Alcotest.test_case "free list double free" `Quick test_free_list_double_free;
   ]
