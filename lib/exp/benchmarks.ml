@@ -103,6 +103,21 @@ let vm ~quick =
   let priv = Jord_privlib.Privlib.create ~hw ~os:(Jord_privlib.Os_facade.create ()) in
   let hw_va, _ = Jord_privlib.Privlib.mmap priv ~core:0 ~bytes:4096 ~perm:Jord_vm.Perm.rw () in
   let memsys_read_hit () = ignore (Jord_arch.Memsys.read memsys ~core:0 ~addr:0x4000) in
+  (* L1-miss reads over a 64k-entry directory: core 1 touches 65,536 lines,
+     then core 0 cycles through them, missing its 512-line L1 every time
+     and finding each line's directory entry among 64k others. *)
+  let big_dir_lines = 65_536 in
+  let big_dir =
+    Jord_arch.Memsys.create (Jord_arch.Topology.create Jord_arch.Config.default)
+  in
+  for i = 0 to big_dir_lines - 1 do
+    ignore (Jord_arch.Memsys.read big_dir ~core:1 ~addr:(i * 64))
+  done;
+  let next_line = ref 0 in
+  let memsys_read_miss_large_dir () =
+    next_line := (!next_line + 1) land (big_dir_lines - 1);
+    ignore (Jord_arch.Memsys.read big_dir ~core:0 ~addr:(!next_line * 64))
+  in
   let hw_access_vlb_hit () =
     ignore
       (Jord_vm.Hw.access hw ~core:0 ~va:hw_va ~access:Jord_vm.Perm.Read ~kind:`Data ~bytes:64)
@@ -120,6 +135,7 @@ let vm ~quick =
         t "vma_btree_lookup" (fun () ->
             ignore (Jord_vm.Vma_btree.lookup btree fp ~va:probe));
         t "memsys_read_hit" memsys_read_hit;
+        t "memsys_read_miss_large_dir" memsys_read_miss_large_dir;
         B.count ~tolerance:det_tol ~name:"btree_rebalances_1k" ~unit_:"ops"
           (float_of_int (Jord_vm.Vma_btree.rebalance_ops btree));
         B.count ~tolerance:alloc_tol ~name:"memsys_read_hit_minor_words" ~unit_:"words/op"
@@ -146,6 +162,9 @@ let server ~quick =
   let words = Gc.minor_words () -. !w0 in
   let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
   let events = Jord_sim.Engine.processed (Jord_faas.Server.engine server) in
+  let memsys = Jord_vm.Hw.memsys (Jord_faas.Server.hw server) in
+  let mem = Jord_arch.Memsys.stats memsys in
+  let mem_accesses = mem.l1_hits + mem.l1_misses + mem.upgrades in
   let open Jord_metrics.Recorder in
   {
     B.experiment = "server";
@@ -160,6 +179,11 @@ let server ~quick =
         B.count ~tolerance:det_tol ~name:"p99" ~unit_:"us" (p99_us recorder);
         B.count ~tolerance:alloc_tol ~name:"minor_words_per_event" ~unit_:"words/event"
           (words /. float_of_int (Int.max 1 events));
+        (* Memory-system work per event: L1 hits, misses and upgrades. *)
+        B.count ~tolerance:det_tol ~name:"mem_accesses_per_event" ~unit_:"accesses/event"
+          (float_of_int mem_accesses /. float_of_int (Int.max 1 events));
+        B.count ~tolerance:det_tol ~name:"dir_entries" ~unit_:"lines"
+          (float_of_int (Jord_arch.Memsys.dir_entries memsys));
         B.metric ~name:"wall_per_event" ~unit_:"ns/event"
           [ wall_ns /. float_of_int (Int.max 1 events) ];
       ];

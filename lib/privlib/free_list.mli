@@ -10,7 +10,9 @@
     and the shared list refills from the OS through [uat_config]. Without
     the sharding, every mmap would ping-pong the shared head line across all
     executor cores, which is incompatible with the paper's 16 ns VMA
-    allocation. *)
+    allocation. Chunk liveness, which catches double frees, is a bitmap
+    per size class indexed by chunk index and grown as refills hand out
+    new indices. *)
 
 type chunk = { index : int; phys : int }
 (** A VMA chunk: its plain-list index within the size class and its

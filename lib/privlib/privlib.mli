@@ -69,7 +69,8 @@ val cput : t -> core:int -> pd:int -> float
     no VMA permissions (or a recycled PD id would inherit them). *)
 
 val outstanding_grants : t -> int -> int
-(** VMA permissions currently held by a PD (0 for the root domain). *)
+(** VMA permissions currently held by a PD (0 for the root domain and for
+    ids below 1, which are never counted). *)
 
 val ccall : t -> core:int -> pd:int -> float
 (** Switch the core into [pd] (user-level context switch; updates ucid). *)

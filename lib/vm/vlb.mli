@@ -1,7 +1,9 @@
 (** Virtual lookaside buffer — a fully associative range TLB over VMAs
     (paper §4.1). Each core has an I-VLB and a D-VLB; entries are tagged
     with the backing VTE address so that T-bit coherence messages (VTD
-    shootdowns) can invalidate them by tag match. *)
+    shootdowns) can invalidate them by tag match. Entries live in parallel
+    tag, VTE and LRU arrays, so neither a lookup nor a walk fill
+    allocates. VTE addresses are non-negative. *)
 
 type t
 
