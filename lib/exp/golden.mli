@@ -1,8 +1,10 @@
 (** Golden-run scenarios for refactor safety.
 
     [report ()] runs a fixed set of seeded simulations — single-server per
-    variant, a 3-server forwarding cluster, and Poisson loadgen runs — and
-    renders every measured number with full (%.17g) precision. The output is
+    variant, 3- and 6-server forwarding clusters, Poisson loadgen runs, an
+    autoscaled fleet with its SLO rollup, and the online SLO plane over a
+    chaos cluster — and renders every measured number with full (%.17g)
+    precision (SLO outputs as their reports print them). The output is
     compared bit-for-bit against [test/golden.expected]; a diff means a
     change altered measured results, not just structure.
 
