@@ -619,9 +619,9 @@ let fleet_trace_overhead ~quick =
                 && List.for_all
                      (fun (_, ws) ->
                        List.for_all
-                         (fun (cw : Jord_obsv.Rollup.closed_window) ->
-                           cw.Jord_obsv.Rollup.cw_exemplar < 0
-                           || List.mem cw.Jord_obsv.Rollup.cw_exemplar ids)
+                         (fun (w : Jord_obsv.Slo.window) ->
+                           w.Jord_obsv.Slo.w_exemplar < 0
+                           || List.mem w.Jord_obsv.Slo.w_exemplar ids)
                          ws)
                      (Jord_obsv.Rollup.windows r)
           in

@@ -1,30 +1,15 @@
 (** Fleet-level SLO rollup.
 
-    The same declarative objectives, tumbling windows and multi-window
-    burn-rate rule as {!Online}, fed from the fleet load balancer's
-    request completions instead of trace spans: the fleet layer models
-    servers at request granularity, so each finished (or shed) request is
-    one observation. Latencies aggregate into one mergeable
+    The fleet's feeder for {!Slo.evaluator}: the same objectives, windows,
+    burn-rate rule and verdicts as {!Online}, fed from the fleet load
+    balancer's request completions instead of trace spans. The fleet layer
+    models servers at request granularity, so each finished (or shed)
+    request is one observation. An objective's windows advance only on
+    observations it matches, and {!finish} closes the final partial window
+    only when it saw traffic. Latencies aggregate into one mergeable
     {!Jord_telemetry.Sketch} per objective; everything is integer-ps and
     event-time driven, so the verdict table is byte-identical at any shard
     count. *)
-
-type transition = {
-  tr_at_ps : int;
-  tr_objective : string;
-  tr_firing : bool;  (** [true] = fire, [false] = resolve. *)
-  tr_window : int;
-  tr_burn_fast : float;
-  tr_burn_slow : float;
-}
-
-type closed_window = {
-  cw_index : int;
-  cw_total : int;
-  cw_bad : int;
-  cw_exemplar_ps : int;  (** -1 when the window carried no trace ids. *)
-  cw_exemplar : int;  (** The window's max-latency trace id, or -1. *)
-}
 
 (** Exemplar plumbing toward the fleet tracer: a [Candidate] fires when an
     observation becomes the open window's max-latency trace (park its
@@ -43,18 +28,20 @@ val objectives : t -> Slo.objective list
 val set_exemplar_hook : t -> (exemplar_event -> unit) -> unit
 
 val observe :
-  ?trace_id:int -> t -> at_ps:int -> fn:string -> latency_ps:int -> shed:bool -> unit
+  t -> trace_id:int -> at_ps:int -> fn:string -> latency_ps:int -> shed:bool -> unit
 (** Record one decided request for entry function [fn] at event time
     [at_ps] (nondecreasing across calls). A shed request consumes budget
     without a latency; a completed one is bad only if the objective is
-    latency-kind and [latency_ps] exceeds its threshold. [trace_id]
-    (default -1 = untraced) feeds the exemplar machinery: the window and
-    whole-run max-latency observations remember it, ties toward the
-    smaller id so exemplars are drain-order independent. *)
+    latency-kind and [latency_ps] exceeds its threshold. [trace_id] (-1 =
+    untraced) feeds the exemplar machinery: the window and whole-run
+    max-latency observations remember it, ties toward the smaller id so
+    exemplars are drain-order independent. An untraced call allocates
+    nothing. *)
 
 val finish : t -> now_ps:int -> unit
-(** Close every window through [now_ps] (including a final partial one).
-    Call once after the fleet drains; reports are stable afterwards. *)
+(** Close every window through [now_ps], and the final partial one if it
+    saw traffic. Call once after the fleet drains; reports are stable
+    afterwards. *)
 
 type row = {
   r_objective : Slo.objective;
@@ -74,10 +61,10 @@ type row = {
 
 val rows : t -> row list
 
-val windows : t -> (string * closed_window list) list
+val windows : t -> (string * Slo.window list) list
 (** Closed-window history per objective, oldest first. *)
 
-val transitions : t -> transition list
+val transitions : t -> Slo.transition list
 (** Chronological, across objectives. *)
 
 val report_text : t -> string

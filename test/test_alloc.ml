@@ -102,6 +102,19 @@ let test_traffic_draw () =
   let w = words_per_call ~iters:1000 (fun () -> ignore (Traffic.next_user s)) in
   check_at_most "accepted Traffic draw" ~limit:8.0 w
 
+(* One untraced fleet completion landing in the rollup's open window: the
+   evaluator counts it in flat per-window counters and the sketch, with
+   no closure, option or tuple on the way. *)
+let test_rollup_observe () =
+  let module Rollup = Jord_obsv.Rollup in
+  let r = Rollup.create [ Jord_obsv.Slo.default ] in
+  let w =
+    words_per_call ~iters:1000 (fun () ->
+        Rollup.observe r ~trace_id:(-1) ~at_ps:1_000_000 ~fn:"f"
+          ~latency_ps:30_000_000 ~shed:false)
+  in
+  check_at_most "untraced Rollup.observe" ~limit:0.0 w
+
 let suite =
   [
     Alcotest.test_case "memsys read L1 hit" `Quick test_memsys_read_hit;
@@ -111,4 +124,5 @@ let suite =
     Alcotest.test_case "cget+cput" `Quick test_cget_cput;
     Alcotest.test_case "prng float" `Quick test_prng_float;
     Alcotest.test_case "traffic draw" `Quick test_traffic_draw;
+    Alcotest.test_case "rollup observe" `Quick test_rollup_observe;
   ]

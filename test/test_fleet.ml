@@ -177,7 +177,7 @@ let objective =
 let test_rollup_verdicts () =
   let r = Rollup.create [ objective ] in
   for i = 0 to 99 do
-    Rollup.observe r ~at_ps:(i * 1_000_000) ~fn:"f" ~latency_ps:5_000_000 ~shed:false
+    Rollup.observe r ~trace_id:(-1) ~at_ps:(i * 1_000_000) ~fn:"f" ~latency_ps:5_000_000 ~shed:false
   done;
   Rollup.finish r ~now_ps:2_000_000_000;
   (match Rollup.rows r with
@@ -190,7 +190,7 @@ let test_rollup_verdicts () =
      edge (before any empty recovery window) leaves the alert firing. *)
   let r = Rollup.create [ objective ] in
   for i = 0 to 99 do
-    Rollup.observe r ~at_ps:(i * 10_000_000) ~fn:"f" ~latency_ps:0 ~shed:true
+    Rollup.observe r ~trace_id:(-1) ~at_ps:(i * 10_000_000) ~fn:"f" ~latency_ps:0 ~shed:true
   done;
   Rollup.finish r ~now_ps:1_000_000_000;
   (match Rollup.rows r with
@@ -203,7 +203,7 @@ let test_rollup_verdicts () =
      the verdict downgrades to VIOLATED — budget burnt, not on fire. *)
   let r = Rollup.create [ objective ] in
   for i = 0 to 99 do
-    Rollup.observe r ~at_ps:(i * 10_000_000) ~fn:"f" ~latency_ps:0 ~shed:true
+    Rollup.observe r ~trace_id:(-1) ~at_ps:(i * 10_000_000) ~fn:"f" ~latency_ps:0 ~shed:true
   done;
   Rollup.finish r ~now_ps:5_000_000_000;
   (match Rollup.rows r with

@@ -226,11 +226,11 @@ let test_keep_rules_and_exemplars () =
   List.iter
     (fun (_, ws) ->
       List.iter
-        (fun cw ->
-          if cw.Rollup.cw_exemplar >= 0 then begin
+        (fun w ->
+          if w.Slo.w_exemplar >= 0 then begin
             some_window_exemplar := true;
             check "window exemplar retained" true
-              (List.mem cw.Rollup.cw_exemplar ids)
+              (List.mem w.Slo.w_exemplar ids)
           end)
         ws)
     windows;
