@@ -127,7 +127,7 @@ let slo_violating t ~fn ~latency_ps =
   List.exists
     (fun o ->
       o.Jord_obsv.Slo.kind = Jord_obsv.Slo.Latency
-      && (match o.Jord_obsv.Slo.fn with None -> true | Some f -> f = fn)
+      && Jord_obsv.Slo.applies o ~fn
       && latency_ps > o.Jord_obsv.Slo.threshold_ps)
     t.slo_objs
 
