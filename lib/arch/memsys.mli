@@ -66,9 +66,6 @@ val sharers : t -> addr:int -> Jord_util.Bitset.t
 val dir_entries : t -> int
 (** Lines the directory tracks: every line ever touched. *)
 
-val line_of : t -> int -> int
-(** Line index of a byte address. *)
-
 val home_of : t -> addr:int -> requester:int -> int
 (** LLC slice homing the address' line; assigned by first touch within the
     requester's socket when not yet known. *)

@@ -13,8 +13,6 @@
 
 type row = { label : string; tput_mrps : float; p99_us : float; mean_us : float }
 
-val dispatch_policies : ?quick:bool -> unit -> row list
-
 val sub_array_overflow : unit -> (int * float) list
 (** (sharer PDs, warm translate ns) — the cost step past the 20-entry VTE
     sub-array (overflow-pointer chase). *)
@@ -23,7 +21,5 @@ val vtd_fallback : sets:int -> live_vtes:int -> float
 (** Share of shootdowns that lost VTD tracking for the given geometry and
     VTE working set (the coherence directory absorbs them, paper §4.2). *)
 
-val orchestrator_counts : ?quick:bool -> unit -> row list
-val queue_bounds : ?quick:bool -> unit -> row list
 val internal_priority : ?quick:bool -> unit -> row list
 val report : ?quick:bool -> unit -> string

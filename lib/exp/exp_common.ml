@@ -144,13 +144,3 @@ let sweep_replicated spec ~config ~seeds =
       let tput_sum = Array.fold_left (fun acc (_, t) -> acc +. t) 0.0 per_rate in
       (rate, Jord_util.Stats.percentile p99s 50.0, tput_sum /. float_of_int seeds))
     spec.rates
-
-let throughput_under_slo ~slo_us pts =
-  List.fold_left
-    (fun best (_, recorder) ->
-      if
-        Jord_metrics.Recorder.count recorder > 0
-        && Jord_metrics.Recorder.p99_us recorder <= slo_us
-      then Float.max best (Jord_metrics.Recorder.throughput_mrps recorder)
-      else best)
-    0.0 pts

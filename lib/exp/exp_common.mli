@@ -71,7 +71,3 @@ val sweep_replicated :
   (float * float * float) list
 (** [(rate, median p99 us, mean tput MRPS)] over [seeds] independent
     replications per rate. *)
-
-val throughput_under_slo :
-  slo_us:float -> (float * Jord_metrics.Recorder.t) list -> float
-(** Highest measured throughput whose p99 meets the SLO (0 when none do). *)

@@ -45,12 +45,6 @@ val create : Executor.ctx -> oid:int -> core:int -> execs:Executor.t array -> t
 (** Build the orchestrator and install its uplink on every executor in
     [execs]. *)
 
-val dispatch_one : Executor.ctx -> t -> Engine.t -> unit
-(** One turn of the dispatch loop: intake a request (retry slot, then
-    internal, then external queue), JBSQ-scan the executors, and either
-    enqueue, hold-and-retry, or forward to another server; reschedules
-    itself while work remains. Callers must set [busy] before invoking. *)
-
 val purge_for_reboot : Executor.ctx -> t -> reboot:Time.t -> unit
 (** Whole-server crash: classify the held retry slot and the internal
     queue through {!Executor.purge_request} (entry requests re-queue at
@@ -70,11 +64,3 @@ val jbsq_scan : Executor.ctx -> t -> int option * float * float
     [(choice, scan_ns, instr_ns)]. Misses overlap (memory-level
     parallelism): the worst one at full latency, the rest partially.
     Exposed for the Fig. 14 worst-case dispatch probe. *)
-
-val reclaim_argbufs : Executor.ctx -> t -> int -> float
-(** Release up to [n] queued ArgBufs; returns the time spent. *)
-
-val pick_request : Executor.ctx -> t -> (Request.t * float) option
-(** Intake: the held retry request first, then the internal/external queues
-    in priority order; forwarded-in payloads are re-materialized into a
-    local ArgBuf here. Returns the request and its intake cost in ns. *)

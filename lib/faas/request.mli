@@ -76,6 +76,3 @@ val settle_acct : t -> unit
 
 val latency_ns : root -> float
 (** Arrival-to-completion latency (valid once [finished]). *)
-
-val overhead_ns : root -> float
-(** isolation + dispatch + comm across the tree. *)

@@ -57,8 +57,6 @@ let privlib t = t.priv
 let runtime t = t.ctx.Executor.rt
 let netmodel t = t.cfg.net
 let on_root_complete t f = t.ctx.Executor.root_cb <- f
-let executor_count t = Array.length t.all_execs
-let orchestrator_count t = Array.length t.orchs
 let dispatch_count t = t.ctx.Executor.dispatch_count
 let dispatch_ns_total t = t.ctx.Executor.dispatch_ns
 let completed_roots t = t.ctx.Executor.completed
@@ -98,13 +96,6 @@ let stalls t = t.ctx.Executor.stalls
 let slowdowns t = t.ctx.Executor.slowdowns
 let forward_abandoned t = t.ctx.Executor.forward_abandoned
 let queue_wait_ns_total t = t.ctx.Executor.queue_wait_ns
-
-let fault_active t =
-  match t.ctx.Executor.fault with
-  | Some inj -> Jord_fault_inject.Injector.active inj
-  | None -> false
-
-let core_busy_ns t ~core = t.ctx.Executor.core_busy_ps.(core) /. 1000.0
 
 (* Cluster-side hooks: account a transfer given up on (the request is
    re-executed locally by the transport) and a deduplicated wire copy. *)

@@ -73,9 +73,6 @@ val submit : t -> ?entry:string -> unit -> unit
 val on_root_complete : t -> (Request.root -> unit) -> unit
 (** Register the completion callback (metrics collection). *)
 
-val executor_count : t -> int
-val orchestrator_count : t -> int
-
 val dispatch_count : t -> int
 val dispatch_ns_total : t -> float
 (** Orchestrator dispatch operations and their cumulative latency (Fig. 14). *)
@@ -138,9 +135,6 @@ val forward_abandoned : t -> int
 val queue_wait_ns_total : t -> float
 (** Cumulative orchestrator- plus executor-queue wait across all requests
     (each hop re-stamps, so held/re-hopped requests don't double count). *)
-
-val fault_active : t -> bool
-(** Is a non-trivial fault plan installed? *)
 
 val note_forward_abandoned : t -> Request.t -> unit
 val note_duplicate : t -> Request.t -> unit
@@ -205,9 +199,6 @@ val set_req_id_space : t -> base:int -> stride:int -> unit
 
 val orchestrator_cores : t -> int list
 (** The cores running orchestrators (for trace track naming). *)
-
-val core_busy_ns : t -> core:int -> float
-(** Accumulated busy time charged to a core. *)
 
 val utilization : t -> float * float
 (** (mean orchestrator utilization, mean executor utilization) over the

@@ -19,7 +19,6 @@ let for_sid plan ~sid = { plan; prng = Prng.create ~seed:(Plan.(plan.seed) lxor 
 
 let plan t = t.plan
 let draws t = t.draws
-let active t = Plan.active t.plan
 
 (* Probability draws only consume PRNG state when the fault class is
    enabled: a plan with loss=0 produces the same crash schedule as one

@@ -20,7 +20,6 @@ val for_sid : Plan.t -> sid:int -> t
     servers are interleaved across engine shards. *)
 
 val plan : t -> Plan.t
-val active : t -> bool
 
 val draws : t -> int
 (** PRNG draws taken so far (a cheap determinism fingerprint). *)

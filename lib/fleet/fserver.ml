@@ -31,7 +31,6 @@ type t = {
   mutable completed : int;
   mutable dropped : int;
   mutable cold_starts : int;
-  mutable busy_ps : int;
 }
 
 let create ~engine ~id ~service_ns cfg =
@@ -53,7 +52,6 @@ let create ~engine ~id ~service_ns cfg =
     completed = 0;
     dropped = 0;
     cold_starts = 0;
-    busy_ps = 0;
   }
 
 let id t = t.id
@@ -87,7 +85,6 @@ let rec start t job =
      construction sums back to [dur] exactly. *)
   let cold_ps = if cold then Int.min dur (Time.of_ns t.cfg.cold_start_ns) else 0 in
   let service_ps = dur - cold_ps in
-  t.busy_ps <- t.busy_ps + dur;
   Engine.schedule t.engine ~after:dur (fun _ ->
       t.busy <- t.busy - 1;
       t.completed <- t.completed + 1;
@@ -110,4 +107,3 @@ let arrivals t = t.arrivals
 let completed t = t.completed
 let dropped t = t.dropped
 let cold_starts t = t.cold_starts
-let busy_ps t = t.busy_ps

@@ -54,5 +54,3 @@ val arrivals : t -> int
 val completed : t -> int
 val dropped : t -> int
 val cold_starts : t -> int
-val busy_ps : t -> int
-(** Exact integer service picoseconds accumulated (at start of service). *)

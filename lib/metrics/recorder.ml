@@ -70,9 +70,6 @@ let observe t root =
   end
 
 let count t = t.total.n
-let first_counted_at t = t.first_at
-let last_counted_at t = t.last_at
-
 let throughput_mrps t =
   (* Fewer than two counted completions span no time: the rate is
      undefined, and (n-1)/span would divide by zero (or go negative when

@@ -24,9 +24,6 @@ val observe : t -> Jord_faas.Request.root -> unit
 val count : t -> int
 (** Completions counted after warmup. *)
 
-val first_counted_at : t -> Jord_sim.Time.t
-val last_counted_at : t -> Jord_sim.Time.t
-
 val throughput_mrps : t -> float
 (** Completions per microsecond over the counted window. *)
 

@@ -31,9 +31,6 @@ val start : ?until:Jord_sim.Time.t -> t -> unit
 
 val stop : t -> unit
 
-val sample_now : t -> unit
-(** Record one sample of every series at the current simulated time. *)
-
 val samples_taken : t -> int
 (** Sampling rounds performed so far. *)
 

@@ -60,15 +60,6 @@ val quantile : t -> float -> int
     [[min_v, max_v]] so the answer always lies in the observed range. 0 on
     an empty sketch. Deterministic and merge-order independent. *)
 
-val bucket_index : int -> int
-(** The ladder: which bucket a value lands in (exposed for tests). *)
-
-val bucket_upper : int -> int
-(** Inclusive upper boundary of a bucket (exposed for tests). *)
-
-val bucket_count : int
-(** Number of buckets in the fixed ladder. *)
-
 val equal : t -> t -> bool
 (** Structural equality of the full state (buckets, count, sum, extrema) —
     the merge-order-independence checks compare whole sketches. *)

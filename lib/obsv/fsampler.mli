@@ -10,7 +10,6 @@
 
 type t
 
-val default_seed : int
 val default_reservoir : int
 
 val create : ?seed:int -> ?reservoir:int -> unit -> t
@@ -19,9 +18,6 @@ val create : ?seed:int -> ?reservoir:int -> unit -> t
 
 val seed : t -> int
 val reservoir : t -> int
-
-val hash64 : seed:int -> id:int -> int64
-(** The sampling draw (exposed for the determinism property tests). *)
 
 val offer : t -> ?keep:string -> Fspan.t -> unit
 (** Offer one finished span, at most once per request id. [keep] names an

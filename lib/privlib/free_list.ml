@@ -189,7 +189,3 @@ let small_allocation_share t ~bytes =
       t.alloc_counts;
     float_of_int !small /. float_of_int total
   end
-
-let free_chunks t sc =
-  let cl = t.classes.(Jord_vm.Size_class.to_index sc) in
-  List.length cl.free + Array.fold_left (fun acc s -> acc + s.cached) 0 cl.shards

@@ -65,5 +65,3 @@ val allocations_by_class : t -> (Jord_vm.Size_class.t * int) list
 
 val small_allocation_share : t -> bytes:int -> float
 (** Fraction of all allocations at or below [bytes]. *)
-
-val free_chunks : t -> Jord_vm.Size_class.t -> int

@@ -31,7 +31,6 @@ let create ?(syscall_ns = 420.0) ?(ipi_setup_ns = 160.0) ?(ipi_handler_ns = 750.
     next_phys = phys_base;
   }
 
-let page_table t = t.pt
 let tlb t ~core = t.tlbs.(core)
 let page = Vm.Page_table.page_bytes
 let pages_of bytes = Jord_util.Bits.ceil_div bytes page

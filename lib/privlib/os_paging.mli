@@ -42,5 +42,4 @@ val shootdown_ns : t -> initiator:int -> float
     mprotect/munmap: serial IPI programming plus the farthest handler's
     round trip. *)
 
-val page_table : t -> Jord_vm.Page_table.t
 val tlb : t -> core:int -> Jord_vm.Tlb.t

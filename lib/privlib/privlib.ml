@@ -148,9 +148,6 @@ let call_count t = function Vma_mgmt -> t.vma_calls | Pd_mgmt -> t.pd_calls
 let op_count t op = t.op_calls.(op_index op)
 let op_ns t op = t.op_ns.(op_index op)
 
-let op_stats t =
-  List.map (fun op -> (op, op_count t op, op_ns t op)) all_ops
-
 let reset_accounting t =
   t.ns.vma_ns <- 0.0;
   t.ns.pd_ns <- 0.0;

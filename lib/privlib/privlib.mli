@@ -90,36 +90,12 @@ val center : t -> core:int -> pd:int -> float
 
 type category = Vma_mgmt | Pd_mgmt
 
-type op =
-  | Op_mmap
-  | Op_munmap
-  | Op_mprotect
-  | Op_pmove
-  | Op_pcopy
-  | Op_cget
-  | Op_cput
-  | Op_ccall
-  | Op_creturn
-  | Op_cexit
-  | Op_center
-
-val all_ops : op list
-val op_name : op -> string
-(** The Table-1 API name ("mmap", "ccall", ...). *)
-
 val time_in : t -> category -> float
 (** Cumulative ns spent inside PrivLib per category — feeds the isolation
     overhead breakdown (Fig. 11) and the Jord_BT "+167% management time"
     comparison (Fig. 13). *)
 
 val call_count : t -> category -> int
-
-val op_count : t -> op -> int
-val op_ns : t -> op -> float
-(** Per-operation call counts and cumulative latency. *)
-
-val op_stats : t -> (op * int * float) list
-(** [(op, calls, total_ns)] for every API op, in {!all_ops} order. *)
 
 val register_metrics :
   t -> ?labels:(string * string) list -> Jord_telemetry.Registry.t -> unit

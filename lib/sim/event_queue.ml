@@ -196,9 +196,6 @@ let holds t h =
   let s = h land slot_mask and g = h lsr slot_bits in
   h >= 0 && s < t.slots_used && t.gens.(s) = g && t.pos_of.(s) >= 0
 
-let time_of t h =
-  if holds t h then Some t.times.(t.pos_of.(h land slot_mask)) else None
-
 (* Remove the entry at heap position [pos]; its slot must already be freed
    (or about to be re-pushed). *)
 let remove_at t pos =

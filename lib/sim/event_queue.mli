@@ -61,9 +61,6 @@ val peek_time : 'a t -> Time.t option
 val holds : 'a t -> handle -> bool
 (** Is this handle's event still pending? *)
 
-val time_of : 'a t -> handle -> Time.t option
-(** Current firing time of a pending event; [None] if the handle is stale. *)
-
 val cancel : 'a t -> handle -> bool
 (** Remove a pending event in O(log n). [false] if the handle is stale
     (already popped, cancelled, or cleared). *)

@@ -7,8 +7,6 @@ let of_ns ns = int_of_float (Float.round (ns *. 1000.0))
 let to_ns t = float_of_int t /. 1000.0
 let of_us us = of_ns (us *. 1000.0)
 let to_us t = to_ns t /. 1000.0
-let of_cycles n ~ghz = int_of_float (Float.round (float_of_int n *. 1000.0 /. ghz))
-let to_cycles t ~ghz = float_of_int t /. 1000.0 *. ghz
 
 let pp ppf t =
   let ns = to_ns t in

@@ -17,10 +17,5 @@ val to_ns : t -> float
 val of_us : float -> t
 val to_us : t -> float
 
-val of_cycles : int -> ghz:float -> t
-(** [of_cycles n ~ghz] is the duration of [n] cycles at [ghz] GHz. *)
-
-val to_cycles : t -> ghz:float -> float
-
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit. *)

@@ -51,7 +51,6 @@ val count : ?tolerance:float -> name:string -> unit_:string -> float -> metric
 
 (* --- JSON round trip --- *)
 
-val to_json : doc -> Json.t
 val to_string : doc -> string
 val of_json : Json.t -> (doc, string) result
 val of_string : string -> (doc, string) result

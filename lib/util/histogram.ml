@@ -7,7 +7,6 @@ type t = {
   counts : int array;
   mutable count : int;
   mutable total : float;
-  mutable min_v : float;
   mutable max_v : float;
 }
 
@@ -27,7 +26,6 @@ let create ?(lowest = 1.0) ?(highest = 1_000_000_000.0) ?(sub_buckets = 32) () =
     counts = Array.make nbuckets 0;
     count = 0;
     total = 0.0;
-    min_v = infinity;
     max_v = neg_infinity;
   }
 
@@ -47,7 +45,6 @@ let record_n t v n =
     t.counts.(b) <- t.counts.(b) + n;
     t.count <- t.count + n;
     t.total <- t.total +. (v *. float_of_int n);
-    if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v
   end
 
@@ -55,8 +52,6 @@ let record t v = record_n t v 1
 let count t = t.count
 let total t = t.total
 let mean t = if t.count = 0 then 0.0 else t.total /. float_of_int t.count
-let max_value t = if t.count = 0 then 0.0 else t.max_v
-let min_value t = if t.count = 0 then 0.0 else t.min_v
 
 let percentile t p =
   if p < 0.0 || p > 100.0 then invalid_arg "Histogram.percentile";
@@ -86,10 +81,7 @@ let merge_into ~dst ~src =
   Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
   dst.count <- dst.count + src.count;
   dst.total <- dst.total +. src.total;
-  if src.count > 0 then begin
-    if src.min_v < dst.min_v then dst.min_v <- src.min_v;
-    if src.max_v > dst.max_v then dst.max_v <- src.max_v
-  end
+  if src.max_v > dst.max_v then dst.max_v <- src.max_v
 
 let cdf t =
   if t.count = 0 then []
@@ -110,5 +102,4 @@ let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.count <- 0;
   t.total <- 0.0;
-  t.min_v <- infinity;
   t.max_v <- neg_infinity

@@ -24,10 +24,8 @@ val total : t -> float
 val mean : t -> float
 
 val percentile : t -> float -> float
-(** [percentile t p], [p] in [\[0, 100\]]; 0 when empty. *)
-
-val max_value : t -> float
-val min_value : t -> float
+(** [percentile t p], [p] in [\[0, 100\]]; 0 when empty. Never above the
+    largest recorded sample. *)
 
 val merge_into : dst:t -> src:t -> unit
 (** Add all of [src]'s counts into [dst]. Configurations must match. *)

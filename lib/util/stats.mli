@@ -24,5 +24,3 @@ val percentile : float array -> float -> float
 
 val summarize : float array -> summary
 (** All of the above in one pass (plus a sort for the percentiles). *)
-
-val pp_summary : Format.formatter -> summary -> unit

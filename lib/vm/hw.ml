@@ -110,13 +110,6 @@ let fault_count t = Array.fold_left ( + ) 0 t.faults
 
 let note_fault t f = t.faults.(fault_class f) <- t.faults.(fault_class f) + 1
 
-let reset_counters t =
-  t.shootdowns <- 0;
-  t.ns.shootdown_ns <- 0.0;
-  t.walks <- 0;
-  t.ns.walk_ns <- 0.0;
-  Array.fill t.faults 0 (Array.length t.faults) 0
-
 let vlb_of mmu = function `Instr -> Mmu.i_vlb mmu | `Data -> Mmu.d_vlb mmu
 
 let canonical_tag t va =

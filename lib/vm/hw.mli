@@ -90,9 +90,6 @@ val stall_since_mark : t -> float
 val vlb_totals : t -> int * int
 (** (hits, misses) summed over every core's I- and D-VLB. *)
 
-val vlb_totals_by_kind : t -> (int * int) * (int * int)
-(** ((I hits, I misses), (D hits, D misses)) summed over every core. *)
-
 val fault_count : t -> int
 (** Translation/protection faults raised through this machine. *)
 
@@ -108,5 +105,3 @@ val register_metrics :
 (** Register the VM-layer metric families ([jord_vlb_*], [jord_vtw_*],
     [jord_vtd_*], [jord_faults_total]) as pull collectors; [labels] are
     prepended to every instance. Zero hot-path cost. *)
-
-val reset_counters : t -> unit

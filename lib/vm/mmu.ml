@@ -19,7 +19,6 @@ let ucid t = t.ucid
 let set_ucid t pd = t.ucid <- pd
 
 let p_bit t = t.p_bit
-let set_p_bit t b = t.p_bit <- b
 
 let require_privilege t ~what =
   if not t.p_bit then Fault.raise_fault (Fault.Privileged_access what)

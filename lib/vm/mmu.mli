@@ -27,16 +27,9 @@ val write_ucid : t -> int -> unit
 val p_bit : t -> bool
 (** Is the core currently executing privileged code? *)
 
-val set_p_bit : t -> bool -> unit
-(** Updated on control transfers; a 0->1 transition must land on a [uatg]
-    gate — checked by {!enter_privileged}. *)
-
 val enter_privileged : t -> at_gate:bool -> unit
 (** Model the decoder's CFI check on the unprivileged->privileged transition:
     the first privileged instruction must be [uatg].
     @raise Fault.Fault with [Gate_violation] otherwise. *)
 
 val exit_privileged : t -> unit
-
-val require_privilege : t -> what:int -> unit
-(** @raise Fault.Fault with [Privileged_access] when the P bit is clear. *)

@@ -11,12 +11,6 @@ type t = private int
 val count : int
 (** 26. *)
 
-val min_bytes : int
-(** 128. *)
-
-val max_bytes : int
-(** 4 GiB. *)
-
 val of_index : int -> t
 (** @raise Invalid_argument outside [\[0, count)]. *)
 

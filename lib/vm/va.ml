@@ -53,26 +53,6 @@ let decode cfg va =
     let sc = slot_class slot in
     Some (sc, slot_index slot, va land ((1 lsl Size_class.offset_bits sc) - 1))
 
-let decode_exn cfg va =
-  match decode cfg va with
-  | Some d -> d
-  | None -> invalid_arg "Va: not a Jord-managed address"
-
-let base_of cfg va =
-  let sc, index, _ = decode_exn cfg va in
-  encode cfg sc ~index ~offset:0
-
-(* ASLR entropy: bits of the index field usable for randomization, i.e. the
-   VA bits between the offset field and the size-class field that are not
-   needed to address the per-class VTE budget. The paper reports a 5-bit
-   entropy reduction (the class field) leaving 29 bits for the 128-byte
-   class; our layout has a 51-bit usable span below the class field. *)
-let entropy_bits cfg sc =
-  let offs = Size_class.offset_bits sc in
-  let index_width = class_lo - offs in
-  let needed = Jord_util.Bits.ceil_log2 (slots_per_class cfg) in
-  Int.max 0 (index_width - needed)
-
 let vte_addr_of_va cfg va =
   let slot = vte_slot cfg va in
   if slot < 0 then invalid_arg "Va: not a Jord-managed address";

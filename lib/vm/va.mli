@@ -45,10 +45,6 @@ val slot_class : int -> Size_class.t
 val slot_index : int -> int
 (** Size class and per-class index encoded by a table position. *)
 
-val base_of : config -> int -> int
-(** Base VA of the VMA containing a Jord VA (offset cleared).
-    @raise Invalid_argument on a non-Jord VA. *)
-
 val vte_index : config -> Size_class.t -> index:int -> int
 (** Position of the VMA's entry in the plain list ([f] above). *)
 
@@ -65,8 +61,3 @@ val slots_per_class : config -> int
 
 val vte_bytes : int
 (** 64: a VTE spans a full cache block. *)
-
-val entropy_bits : config -> Size_class.t -> int
-(** ASLR headroom for a class: index bits not consumed by the per-class VTE
-    budget (paper §4.1 — encoding the class into the VA costs a modest
-    amount of randomization entropy). *)

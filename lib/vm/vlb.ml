@@ -95,7 +95,6 @@ let invalidate_vte t ~vte_addr =
   end
 
 let invalidate_all t = Array.fill t.tags 0 (Array.length t.tags) empty
-let contains_vte t ~vte_addr = find_slot t ~vte_addr >= 0
 let resident t = Array.to_list t.tags |> List.filter (fun tag -> tag <> empty)
 
 let occupancy t =

@@ -29,7 +29,6 @@ val invalidate_vte : t -> vte_addr:int -> bool
     was dropped. *)
 
 val invalidate_all : t -> unit
-val contains_vte : t -> vte_addr:int -> bool
 val resident : t -> int list
 (** VTE addresses currently cached. *)
 

@@ -105,8 +105,3 @@ let sharer_count t =
 let resize t ~bytes =
   if bytes <= 0 || bytes > t.chunk_bytes then invalid_arg "Vte.resize";
   t.bytes <- bytes
-
-let clear_perms t =
-  Array.fill t.sub_pd 0 sub_array_capacity (-1);
-  Array.fill t.sub_perm 0 sub_array_capacity Perm.none;
-  t.overflow <- []

@@ -34,9 +34,6 @@ val translate : t -> int -> int
 (** Physical address of a covered VA.
     @raise Invalid_argument if not covered. *)
 
-val sub_array_capacity : int
-(** 20, per the paper. *)
-
 val perm_for : t -> pd:int -> Perm.t
 (** Effective permission of a PD for this VMA: the global permission if the
     G bit is set, otherwise the sub-array (or overflow) entry, otherwise
@@ -61,5 +58,3 @@ val iter_sharers : (int -> unit) -> t -> unit
 
 val resize : t -> bytes:int -> unit
 (** Change the bound (must stay within the backing chunk's size class). *)
-
-val clear_perms : t -> unit

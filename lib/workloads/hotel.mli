@@ -10,6 +10,3 @@ val app : Jord_faas.Model.app
 
 val search_nearby : string
 val make_reservation : string
-
-val recommend : string
-(** Recommend entry. *)

@@ -11,6 +11,3 @@ val app : Jord_faas.Model.app
 
 val upload_unique_id : string
 val read_page : string
-
-val compose_review : string
-(** ComposeReview entry (the write path). *)

@@ -9,6 +9,3 @@ val app : Jord_faas.Model.app
 
 val follow : string
 val compose_post : string
-
-val read_home_timeline : string
-(** ReadHomeTimeline entry. *)

@@ -52,9 +52,6 @@ val rate_at : shape -> us:float -> float
 (** Instantaneous aggregate rate (requests/us) at time [us]:
     [rate * (1 + amp * sin(2*pi*us/period)) * product of active boosts]. *)
 
-val peak_rate : shape -> float
-(** Upper bound on {!rate_at} over any horizon — the thinning envelope. *)
-
 type arrival = { at : Jord_sim.Time.t; user : int }
 
 type t

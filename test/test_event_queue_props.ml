@@ -146,7 +146,6 @@ let test_handle_staleness () =
   let h1 = Eq.push q ~time:5 "a" in
   let h2 = Eq.push q ~time:3 "b" in
   Alcotest.(check bool) "h1 pending" true (Eq.holds q h1);
-  Alcotest.(check (option int)) "time_of h1" (Some 5) (Eq.time_of q h1);
   Alcotest.(check bool) "cancel h2" true (Eq.cancel q h2);
   Alcotest.(check bool) "h2 stale" false (Eq.holds q h2);
   Alcotest.(check bool) "double cancel fails" false (Eq.cancel q h2);
@@ -360,8 +359,7 @@ let test_engine_cancel () =
   let h2 = Engine.schedule_handle e ~after:20 (mark "b") in
   ignore (Engine.schedule_handle e ~after:30 (mark "c") : Engine.handle);
   Alcotest.(check bool) "cancel b" true (Engine.cancel e h2);
-  Alcotest.(check bool) "b not pending" false (Engine.pending_handle e h2);
-  Alcotest.(check bool) "a pending" true (Engine.pending_handle e h1);
+  Alcotest.(check bool) "double cancel fails" false (Engine.cancel e h2);
   Engine.run e;
   Alcotest.(check (list string)) "only a, c fired" [ "a"; "c" ] (List.rev !fired);
   Alcotest.(check int) "cancelled counter" 1 (Engine.cancelled e);

@@ -13,8 +13,12 @@ let test_min_max () =
   let h = Histogram.create () in
   Histogram.record h 50.0;
   Histogram.record h 5000.0;
-  Alcotest.(check (float 1e-6)) "min" 50.0 (Histogram.min_value h);
-  Alcotest.(check (float 1e-6)) "max" 5000.0 (Histogram.max_value h)
+  (* The extreme percentiles land in the extreme samples' buckets, and the
+     top one never reports above the largest sample. *)
+  let near x v = Float.abs (v -. x) /. x < 0.03 in
+  Alcotest.(check bool) "p0 near min" true (near 50.0 (Histogram.percentile h 0.0));
+  let p100 = Histogram.percentile h 100.0 in
+  Alcotest.(check bool) "p100 near max" true (near 5000.0 p100 && p100 <= 5000.0)
 
 let test_percentile_accuracy () =
   (* With geometric buckets the relative quantization error is bounded by
@@ -52,7 +56,8 @@ let test_merge () =
   Histogram.record b 900.0;
   Histogram.merge_into ~dst:a ~src:b;
   Alcotest.(check int) "merged count" 2 (Histogram.count a);
-  Alcotest.(check (float 1e-6)) "merged max" 900.0 (Histogram.max_value a)
+  let p100 = Histogram.percentile a 100.0 in
+  Alcotest.(check bool) "merged max" true (p100 <= 900.0 && p100 > 870.0)
 
 let test_cdf () =
   let h = Histogram.create () in

@@ -3,11 +3,7 @@ open Jord_sim
 let test_time_conversions () =
   Alcotest.(check int) "1ns = 1000ps" 1000 (Time.of_ns 1.0);
   Alcotest.(check (float 1e-9)) "roundtrip" 2.5 (Time.to_ns (Time.of_ns 2.5));
-  Alcotest.(check (float 1e-9)) "us" 3.0 (Time.to_us (Time.of_us 3.0));
-  (* One cycle at 4 GHz is 250 ps. *)
-  Alcotest.(check int) "cycle" 250 (Time.of_cycles 1 ~ghz:4.0);
-  Alcotest.(check (float 1e-9)) "cycles roundtrip" 12.0
-    (Time.to_cycles (Time.of_cycles 12 ~ghz:4.0) ~ghz:4.0)
+  Alcotest.(check (float 1e-9)) "us" 3.0 (Time.to_us (Time.of_us 3.0))
 
 let test_event_queue_order () =
   let q = Event_queue.create () in

@@ -13,14 +13,8 @@ let prop_addition =
     QCheck.(pair (int_bound 1_000_000_000) (int_bound 1_000_000_000))
     (fun (a, b) -> Time.(a + b) = a + b && Time.(a + b - b) = a)
 
-let test_cycles () =
-  (* 4 GHz: 4 cycles per ns, exactly representable in ps. *)
-  Alcotest.(check int) "1000 cycles at 4GHz = 250 ns" (Time.of_ns 250.0)
-    (Time.of_cycles 1000 ~ghz:4.0)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_ns_roundtrip;
     QCheck_alcotest.to_alcotest prop_addition;
-    Alcotest.test_case "cycles" `Quick test_cycles;
   ]
