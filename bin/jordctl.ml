@@ -574,7 +574,9 @@ let run_cmd =
       | None -> ()
       | Some path ->
           let oc = open_out path in
-          output_string oc (Jord_faas.Trace.to_chrome_json ~orch_cores tr);
+          output_string oc
+            (Jord_obsv.Export.chrome_json ~orch_cores
+               ~events:(Jord_faas.Trace.events tr) (Jord_obsv.Span.of_trace tr));
           close_out oc;
           Printf.printf "trace: %d events (%d retained) -> %s\n"
             (Jord_faas.Trace.total_emitted tr) (Jord_faas.Trace.length tr) path);

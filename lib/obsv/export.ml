@@ -1,11 +1,9 @@
 module Trace = Jord_faas.Trace
 module Json = Jord_util.Json
 
-(* Offline exporters over a loaded trace: the Chrome/Perfetto document with
-   flow events (parent -> child spawns and cross-server hops), and JSON/CSV
-   blame profiles per function. The live exporter for interactive runs is
-   {!Jord_faas.Trace.to_chrome_json}; this one adds the causal arrows that
-   need the span forest. *)
+(* The one Chrome/Perfetto writer for single-node traces, live or loaded
+   from a file, with flow events (parent -> child spawns and cross-server
+   hops), and JSON/CSV blame profiles per function. *)
 
 let us ps = float_of_int ps /. 1e6
 
@@ -13,6 +11,28 @@ let us ps = float_of_int ps /. 1e6
    counter, so the two families never collide. *)
 let hop_flow_base = 1 lsl 30
 
+let meta ~pid ?tid ~name what =
+  Json.Obj
+    ([ ("ph", Json.String "M"); ("pid", Json.Int pid); ("name", Json.String what) ]
+    @ (match tid with Some tid -> [ ("tid", Json.Int tid) ] | None -> [])
+    @ [ ("args", Json.Obj [ ("name", Json.String name) ]) ])
+
+let flow ~ph ~id ~pid ~tid ~ts ~name =
+  Json.Obj
+    ([
+       ("ph", Json.String ph);
+       ("id", Json.Int id);
+       ("cat", Json.String name);
+       ("name", Json.String name);
+       ("pid", Json.Int pid);
+       ("tid", Json.Int tid);
+       ("ts", Json.Float (us ts));
+     ]
+    @ if ph = "f" then [ ("bp", Json.String "e") ] else [])
+
+(* Process/thread metadata: Perfetto shows named tracks instead of bare
+   tids. One process per server (pid = sid + 1, pid 0 is reserved), one
+   thread per core that appears in the retained window. *)
 let metadata ~orch_cores events =
   let seen = Hashtbl.create 16 and sids = Hashtbl.create 4 in
   List.iter
@@ -20,12 +40,6 @@ let metadata ~orch_cores events =
       if e.Trace.core >= 0 then Hashtbl.replace seen (e.Trace.sid, e.Trace.core) ();
       Hashtbl.replace sids e.Trace.sid ())
     events;
-  let meta ~pid ~name ?tid what =
-    Json.Obj
-      ([ ("ph", Json.String "M"); ("pid", Json.Int pid); ("name", Json.String what) ]
-      @ (match tid with Some tid -> [ ("tid", Json.Int tid) ] | None -> [])
-      @ [ ("args", Json.Obj [ ("name", Json.String name) ]) ])
-  in
   let procs =
     Hashtbl.fold
       (fun sid () acc ->
@@ -86,19 +100,6 @@ let entry (e : Trace.event) =
                  (if e.Trace.kind = Trace.ServerDown then "down" else "up")))
         :: List.filter (fun (k, _) -> k <> "name") common)
   | _ -> Json.Obj (("ph", Json.String "i") :: ("s", Json.String "t") :: common)
-
-let flow ~ph ~id ~pid ~tid ~ts ~name =
-  Json.Obj
-    ([
-       ("ph", Json.String ph);
-       ("id", Json.Int id);
-       ("cat", Json.String name);
-       ("name", Json.String name);
-       ("pid", Json.Int pid);
-       ("tid", Json.Int tid);
-       ("ts", Json.Float (us ts));
-     ]
-    @ if ph = "f" then [ ("bp", Json.String "e") ] else [])
 
 (* Spawn flows: an arrow from the parent's running segment at the child's
    birth to the child's first executor segment. *)

@@ -360,28 +360,6 @@ let balancer_pid = 1
 let member_pid m = m + 2
 let resp_flow_base = 1 lsl 30
 
-let meta_entry ~pid ~name what =
-  Json.Obj
-    [
-      ("ph", Json.String "M");
-      ("pid", Json.Int pid);
-      ("name", Json.String what);
-      ("args", Json.Obj [ ("name", Json.String name) ]);
-    ]
-
-let flow ~ph ~id ~pid ~ts ~name =
-  Json.Obj
-    ([
-       ("ph", Json.String ph);
-       ("id", Json.Int id);
-       ("cat", Json.String name);
-       ("name", Json.String name);
-       ("pid", Json.Int pid);
-       ("tid", Json.Int 0);
-       ("ts", Json.Float (us ts));
-     ]
-    @ if ph = "f" then [ ("bp", Json.String "e") ] else [])
-
 let span_args keep sp =
   ( "args",
     Json.Obj
@@ -406,10 +384,10 @@ let chrome_json (l : Ftrace.loaded) =
       if sp.Fspan.member >= 0 then Hashtbl.replace members sp.Fspan.member ())
     l.Ftrace.spans;
   let procs =
-    meta_entry ~pid:balancer_pid ~name:"fleet balancer" "process_name"
+    Export.meta ~pid:balancer_pid ~name:"fleet balancer" "process_name"
     :: (Hashtbl.fold
           (fun m () acc ->
-            meta_entry ~pid:(member_pid m)
+            Export.meta ~pid:(member_pid m)
               ~name:(Printf.sprintf "fleet member %d" m)
               "process_name"
             :: acc)
@@ -462,22 +440,20 @@ let chrome_json (l : Ftrace.loaded) =
              ]);
         (* Request and response wire hops as flow arrows. *)
         push
-          (flow ~ph:"s" ~id:sp.Fspan.req_id ~pid:balancer_pid ~ts:depart
-             ~name:"req");
+          (Export.flow ~ph:"s" ~id:sp.Fspan.req_id ~pid:balancer_pid ~tid:0
+             ~ts:depart ~name:"req");
         push
-          (flow ~ph:"f" ~id:sp.Fspan.req_id ~pid:(member_pid sp.Fspan.member)
-             ~ts:arrive ~name:"req");
+          (Export.flow ~ph:"f" ~id:sp.Fspan.req_id ~pid:(member_pid sp.Fspan.member)
+             ~tid:0 ~ts:arrive ~name:"req");
         push
-          (flow
-             ~ph:"s"
+          (Export.flow ~ph:"s"
              ~id:(resp_flow_base + sp.Fspan.req_id)
              ~pid:(member_pid sp.Fspan.member)
-             ~ts:(arrive + busy) ~name:"resp");
+             ~tid:0 ~ts:(arrive + busy) ~name:"resp");
         push
-          (flow
-             ~ph:"f"
+          (Export.flow ~ph:"f"
              ~id:(resp_flow_base + sp.Fspan.req_id)
-             ~pid:balancer_pid ~ts:sp.Fspan.end_ps ~name:"resp")
+             ~pid:balancer_pid ~tid:0 ~ts:sp.Fspan.end_ps ~name:"resp")
       end
       else
         (* Shed at the balancer: an instant marker on its track. *)

@@ -240,6 +240,33 @@ let test_tracefile_roundtrip () =
           Alcotest.(check (list int)) "same span census" [ t1; d1; x1; p1 ]
             [ t2; d2; x2; p2 ])
 
+(* One Perfetto writer: the document over the live ring is byte-for-byte
+   the export of the same ring after a save/load round trip, and it draws
+   both flow families. *)
+let test_chrome_live_equals_export () =
+  let tracer, r, _ =
+    traced_chaos_run ~config:Test_cluster.small_config ~requests:30
+      ~gap_ns:300.0 ()
+  in
+  let live =
+    Jord_obsv.Export.chrome_json ~orch_cores:[ 0 ] ~events:(Trace.events tracer) r
+  in
+  let path = Filename.temp_file "jord_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Tracefile.save ~path
+        ~meta:[ ("orch_cores", Jord_util.Json.List [ Jord_util.Json.Int 0 ]) ]
+        tracer;
+      match Tracefile.load ~path with
+      | Error e -> Alcotest.fail e
+      | Ok l ->
+          Alcotest.(check string) "live = exported" live
+            (Jord_obsv.Export.chrome_json ~orch_cores:(Tracefile.orch_cores l)
+               ~events:l.Tracefile.events (Tracefile.spans l)));
+  Alcotest.(check bool) "spawn flows" true (contains "\"name\":\"spawn\"" live);
+  Alcotest.(check bool) "hop flows" true (contains "\"name\":\"hop\"" live)
+
 let test_load_rejects_garbage () =
   let path = Filename.temp_file "jord_trace" ".jsonl" in
   Fun.protect
@@ -270,5 +297,7 @@ let suite =
       test_tracefile_roundtrip;
     Alcotest.test_case "tracefile rejects non-trace files" `Quick
       test_load_rejects_garbage;
+    Alcotest.test_case "chrome export: live ring = loaded file" `Quick
+      test_chrome_live_equals_export;
     QCheck_alcotest.to_alcotest prop_conservation;
   ]

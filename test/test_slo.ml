@@ -557,12 +557,12 @@ let test_alert_events_and_markers () =
       Alcotest.(check string) "fire" "fire" e.Trace.detail;
       Alcotest.(check int) "stamped at the window end" 1000 e.Trace.at_ps
   | _ -> Alcotest.fail "exactly one alert so far");
-  (* The live Chrome exporter renders alerts as global instant markers. *)
-  let json = Trace.to_chrome_json tracer in
+  (* The Chrome exporter renders alerts as global instant markers. *)
+  let r = Span.of_trace tracer in
+  let json = Jord_obsv.Export.chrome_json ~events:(Trace.events tracer) r in
   Alcotest.(check bool) "marker name" true (contains "slo:flap:fire" json);
   Alcotest.(check bool) "global scope" true (contains "\"s\":\"g\"" json);
   (* Span building skips system events, so attribution is untouched. *)
-  let r = Span.of_trace tracer in
   Alcotest.(check (list string)) "conservation unaffected" []
     (Span.conservation_violations r)
 
