@@ -166,7 +166,7 @@ let bench_reused total =
    events/sec ratio is printed, and only enforced (> 1x) when the host
    actually has a core per shard. *)
 
-module Fleet = Jord_sim.Fleet
+module Lockstep = Jord_sim.Lockstep
 module Shard = Jord_sim.Shard
 
 let fleet_shards = 4
@@ -178,12 +178,12 @@ let courier_hops = 2_000
 type fleet_cell = { mutable fired : int; mutable checksum : int }
 
 let bench_fleet ~use_pool total =
-  let fleet = Fleet.create ~shards:fleet_shards ~lookahead:fleet_lookahead in
+  let fleet = Lockstep.create ~shards:fleet_shards ~lookahead:fleet_lookahead in
   let cells = Array.init fleet_shards (fun _ -> { fired = 0; checksum = 0 }) in
   let per_shard = total / fleet_shards in
   let lanes_per_shard = lanes / fleet_shards in
   for s = 0 to fleet_shards - 1 do
-    let eng = Fleet.engine fleet s in
+    let eng = Lockstep.engine fleet s in
     let cell = cells.(s) in
     let fns = Array.make lanes_per_shard (fun (_ : Engine.t) -> ()) in
     Array.iteri
@@ -207,23 +207,23 @@ let bench_fleet ~use_pool total =
     decr hops;
     if !hops > 0 then begin
       let dst = (at_shard + 1) mod fleet_shards in
-      let src = Fleet.shard fleet at_shard in
+      let src = Lockstep.shard fleet at_shard in
       Shard.post src ~dst
         ~at:(Engine.now eng + fleet_lookahead)
         ~sid:at_shard (courier dst)
     end
   in
-  Engine.schedule (Fleet.engine fleet 0) ~after:1 (courier 0);
+  Engine.schedule (Lockstep.engine fleet 0) ~after:1 (courier 0);
   let t0 = Unix.gettimeofday () in
   if use_pool then
     Jord_par.Pool.with_pool ~jobs:fleet_shards (fun pool ->
         let runner f n =
           ignore (Jord_par.Pool.parmap pool f (List.init n Fun.id) : unit list)
         in
-        Fleet.run ~runner fleet)
-  else Fleet.run fleet;
+        Lockstep.run ~runner fleet)
+  else Lockstep.run fleet;
   let dt = Unix.gettimeofday () -. t0 in
-  let processed = Fleet.processed fleet in
+  let processed = Lockstep.processed fleet in
   let checksum =
     Array.fold_left (fun acc c -> acc lxor c.checksum) 0 cells
   in

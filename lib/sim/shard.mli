@@ -39,7 +39,7 @@ val pending_messages : t -> int
 
 (**/**)
 
-(* Barrier-side interface, used by {!Fleet} and by tests. *)
+(* Barrier-side interface, used by {!Lockstep} and by tests. *)
 
 type msg = {
   mutable at : Time.t;
