@@ -90,28 +90,22 @@ let to_json_line ~keep sp =
   Buffer.add_string buf (Printf.sprintf ",\"keep\":\"%s\"}" (Json.escape keep));
   Buffer.contents buf
 
-let int_member ?(default = 0) key j =
-  match Json.member key j with Some (Json.Int i) -> i | _ -> default
-
-let str_member ?(default = "") key j =
-  match Json.member key j with Some (Json.String s) -> s | _ -> default
-
 let of_json j =
-  let oname = str_member "o" j in
+  let oname = Json.str_member "o" j in
   match outcome_of_name oname with
   | None -> Error (Printf.sprintf "unknown span outcome %S" oname)
   | Some outcome ->
       Ok
-        ( str_member ~default:"sampled" "keep" j,
+        ( Json.str_member ~default:"sampled" "keep" j,
           {
-            req_id = int_member "r" j;
-            user = int_member "u" j;
-            fn = str_member "f" j;
-            member = int_member ~default:(-1) "m" j;
-            lb_hit = int_member "hit" j = 1;
-            cold = int_member "cold" j = 1;
+            req_id = Json.int_member "r" j;
+            user = Json.int_member "u" j;
+            fn = Json.str_member "f" j;
+            member = Json.int_member ~default:(-1) "m" j;
+            lb_hit = Json.int_member "hit" j = 1;
+            cold = Json.int_member "cold" j = 1;
             outcome;
-            submit_ps = int_member "t" j;
-            end_ps = int_member "e" j;
-            phases = Array.map (fun key -> int_member key j) phase_keys;
+            submit_ps = Json.int_member "t" j;
+            end_ps = Json.int_member "e" j;
+            phases = Array.map (fun key -> Json.int_member key j) phase_keys;
           } )

@@ -93,9 +93,6 @@ type loaded = {
   meta : Json.t;  (** The whole header object. *)
 }
 
-let int_member ?(default = 0) key j =
-  match Json.member key j with Some (Json.Int i) -> i | _ -> default
-
 let load ~path =
   match open_in path with
   | exception Sys_error msg -> Error msg
@@ -135,7 +132,7 @@ let load ~path =
                     (fun spans ->
                       {
                         spans;
-                        offered_total = int_member "offered" header;
+                        offered_total = Json.int_member "offered" header;
                         meta = header;
                       })
                     (go 2 [])))

@@ -57,30 +57,24 @@ type loaded = {
   meta : Json.t;  (** The whole header object. *)
 }
 
-let int_member ?(default = 0) key j =
-  match Json.member key j with Some (Json.Int i) -> i | _ -> default
-
-let str_member ?(default = "") key j =
-  match Json.member key j with Some (Json.String s) -> s | _ -> default
-
 let event_of_json j =
-  let kind_name = str_member "k" j in
+  let kind_name = Json.str_member "k" j in
   match Trace.kind_of_name kind_name with
   | None -> Error (Printf.sprintf "unknown event kind %S" kind_name)
   | Some kind ->
       Ok
         {
-          Trace.at_ps = int_member "a" j;
+          Trace.at_ps = Json.int_member "a" j;
           kind;
-          req_id = int_member "r" j;
-          root_id = int_member "g" j;
-          parent_id = int_member ~default:(-1) "p" j;
-          fn = str_member "f" j;
-          core = int_member "c" j;
-          sid = int_member "s" j;
-          dur_ps = int_member "d" j;
-          stall_ps = int_member "v" j;
-          detail = str_member "x" j;
+          req_id = Json.int_member "r" j;
+          root_id = Json.int_member "g" j;
+          parent_id = Json.int_member ~default:(-1) "p" j;
+          fn = Json.str_member "f" j;
+          core = Json.int_member "c" j;
+          sid = Json.int_member "s" j;
+          dur_ps = Json.int_member "d" j;
+          stall_ps = Json.int_member "v" j;
+          detail = Json.str_member "x" j;
         }
 
 let load ~path =
@@ -124,8 +118,8 @@ let load ~path =
                           (match Json.member "truncated" header with
                           | Some (Json.Bool b) -> b
                           | _ -> false);
-                        total_emitted = int_member "total_emitted" header;
-                        capacity = int_member "capacity" header;
+                        total_emitted = Json.int_member "total_emitted" header;
+                        capacity = Json.int_member "capacity" header;
                         meta = header;
                       })
                     (go 2 [])))

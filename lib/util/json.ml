@@ -234,3 +234,9 @@ let of_string s =
   with Parse_error msg -> Error msg
 
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
+
+let int_member ?(default = 0) key j =
+  match member key j with Some (Int i) -> i | _ -> default
+
+let str_member ?(default = "") key j =
+  match member key j with Some (String s) -> s | _ -> default

@@ -24,3 +24,8 @@ val of_string : string -> (t, string) result
 
 val member : string -> t -> t option
 (** [member key (Obj ...)] — field lookup; [None] on non-objects. *)
+
+val int_member : ?default:int -> string -> t -> int
+val str_member : ?default:string -> string -> t -> string
+(** Typed field lookups: [default] (0 / [""]) when the field is absent or
+    holds another type. *)
