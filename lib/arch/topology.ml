@@ -46,10 +46,3 @@ let slice_of_line t ~requester addr =
   let per = Int.min t.per_socket (cores t - (socket * t.per_socket)) in
   (socket * t.per_socket) + (abs (addr / t.cfg.Config.line) mod per)
 
-let max_distance_ns t ~from =
-  let worst = ref 0.0 in
-  for dst = 0 to cores t - 1 do
-    let d = latency_ns t ~src:from ~dst in
-    if d > !worst then worst := d
-  done;
-  !worst

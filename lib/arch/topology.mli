@@ -35,7 +35,3 @@ val slice_of_line : t -> requester:int -> int -> int
 (** Home core/tile (slice index) of a physical byte address. Lines are
     interleaved at cache-line granularity across the tiles of the
     requester's socket (first-touch NUMA placement). *)
-
-val max_distance_ns : t -> from:int -> float
-(** One-way latency to the farthest tile in the machine — the limiting term
-    of a broadcast such as a VLB shootdown. *)

@@ -22,6 +22,3 @@ let default =
 let invocation_overhead_ns t ~arg_bytes =
   t.orchestrator_ipc_ns +. t.data_channel_base_ns
   +. (t.data_channel_ns_per_byte *. float_of_int arg_bytes)
-
-let cold_invocation_overhead_ns t ~arg_bytes =
-  invocation_overhead_ns t ~arg_bytes +. t.cold_start_ns

@@ -22,5 +22,3 @@ val default : t
 
 val invocation_overhead_ns : t -> arg_bytes:int -> float
 (** Control + data overhead of one warm invocation (no sandbox start). *)
-
-val cold_invocation_overhead_ns : t -> arg_bytes:int -> float

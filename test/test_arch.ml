@@ -44,7 +44,7 @@ let test_slice_homing () =
 
 let test_max_distance () =
   let t = default_topo () in
-  let d = Topology.max_distance_ns t ~from:0 in
+  let d = Topology.latency_ns t ~src:0 ~dst:(Topology.cores t - 1) in
   Alcotest.(check (float 1e-9)) "10 hops from corner" 7.5 d
 
 let test_cache_hit_miss () =
