@@ -2,8 +2,9 @@
 
     [report ()] runs a fixed set of seeded simulations — single-server per
     variant, 3- and 6-server forwarding clusters, Poisson loadgen runs, an
-    autoscaled fleet with its SLO rollup, and the online SLO plane over a
-    chaos cluster — and renders every measured number with full (%.17g)
+    autoscaled fleet with its SLO rollup, the online SLO plane over a
+    chaos cluster, and every [jordctl trace] report over a saved and
+    reloaded cluster trace file and fleet trace file — and renders every measured number with full (%.17g)
     precision (SLO outputs as their reports print them). The output is
     compared bit-for-bit against [test/golden.expected]; a diff means a
     change altered measured results, not just structure.
