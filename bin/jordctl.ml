@@ -190,14 +190,15 @@ let run_fleet ~fleet_n ~lb_spec ~autoscale_spec ~traffic_spec ~app ~rate
           ("end_ps", Jord_util.Json.Int (Jord_sim.Time.of_us (3.0 *. duration)));
         ]
       in
-      Jord_obsv.Ftrace.save ~path ~meta tracer;
+      Jord_obsv.Tracefile.save_fleet ~path ~meta tracer;
+      let retained = Jord_obsv.Ftrace.retained tracer in
       Printf.printf "trace: %d spans retained of %d requests (%s) -> %s\n"
-        (List.length (Jord_obsv.Ftrace.retained tracer))
+        (List.length retained)
         (Jord_obsv.Ftrace.offered tracer)
         (String.concat " "
            (List.map
               (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-              (Jord_obsv.Ftrace.keep_counts tracer)))
+              (Jord_obsv.Ftrace.keep_counts retained)))
         path
   | _ -> ());
   (match metrics_out with
@@ -991,35 +992,29 @@ let export_cmd =
 
 (* --- trace --- *)
 
+(* The one trace-file load of [trace] and [slo]: a file that does not load
+   exits 2, and a wrapped ring means every report covers a suffix of the
+   run only — say so where the user will see it. *)
+let checked_trace = function
+  | Error msg ->
+      prerr_endline ("jordctl: " ^ msg);
+      exit 2
+  | Ok trace ->
+      (match trace with
+      | Jord_obsv.Tracefile.Server l when l.Jord_obsv.Tracefile.truncated ->
+          Printf.eprintf "WARNING: ring truncated, %d events dropped\n"
+            (l.Jord_obsv.Tracefile.total_emitted
+            - List.length l.Jord_obsv.Tracefile.events)
+      | _ -> ());
+      trace
+
+let trace_of path = checked_trace (Jord_obsv.Tracefile.load ~path)
+
 let trace_cmd =
   let file_pos =
     Arg.(required & pos 0 (some file) None
          & info [] ~docv:"FILE"
              ~doc:"JSONL trace written by $(b,jordctl run --trace-out).")
-  in
-  let spans_of path =
-    match Jord_obsv.Tracefile.load ~path with
-    | Error msg ->
-        prerr_endline ("jordctl: " ^ msg);
-        exit 2
-    | Ok l ->
-        (* A wrapped ring means every report below covers a suffix of the run
-           only — say so where the user will see it. *)
-        if l.Jord_obsv.Tracefile.truncated then
-          Printf.eprintf "WARNING: ring truncated, %d events dropped\n"
-            (l.Jord_obsv.Tracefile.total_emitted
-            - List.length l.Jord_obsv.Tracefile.events);
-        (l, Jord_obsv.Tracefile.spans l)
-  in
-  (* Every subcommand dispatches on the file's header: single-node/cluster
-     event traces go through the span forest, fleet traces (jord_fleet_trace
-     header, written by `run --fleet --trace-out`) through Freport. *)
-  let fleet_of path =
-    match Jord_obsv.Ftrace.load ~path with
-    | Error msg ->
-        prerr_endline ("jordctl: " ^ msg);
-        exit 2
-    | Ok l -> l
   in
   (* Attribution that does not sum exactly to end-to-end latency is a tool
      bug, not a degraded report — fail loudly (CI greps for this). *)
@@ -1027,16 +1022,14 @@ let trace_cmd =
   let fleet_check l = if not (Jord_obsv.Freport.conservation_ok l) then exit 3 in
   let breakdown_cmd =
     let run path =
-      if Jord_obsv.Ftrace.is_fleet_file ~path then begin
-        let l = fleet_of path in
-        print_string (Jord_obsv.Freport.breakdown l);
-        fleet_check l
-      end
-      else begin
-        let _, r = spans_of path in
-        print_string (Jord_obsv.Report.breakdown r);
-        check r
-      end
+      match trace_of path with
+      | Jord_obsv.Tracefile.Server l ->
+          let r = Jord_obsv.Tracefile.spans l in
+          print_string (Jord_obsv.Report.breakdown r);
+          check r
+      | Jord_obsv.Tracefile.Fleet l ->
+          print_string (Jord_obsv.Freport.breakdown l);
+          fleet_check l
     in
     Cmd.v
       (Cmd.info "breakdown"
@@ -1050,12 +1043,11 @@ let trace_cmd =
            & info [ "n" ] ~docv:"N" ~doc:"How many requests to show.")
     in
     let run path n =
-      if Jord_obsv.Ftrace.is_fleet_file ~path then
-        print_string (Jord_obsv.Freport.slowest ~n (fleet_of path))
-      else begin
-        let _, r = spans_of path in
-        print_string (Jord_obsv.Report.slowest ~n r)
-      end
+      print_string
+        (match trace_of path with
+        | Jord_obsv.Tracefile.Server l ->
+            Jord_obsv.Report.slowest ~n (Jord_obsv.Tracefile.spans l)
+        | Jord_obsv.Tracefile.Fleet l -> Jord_obsv.Freport.slowest ~n l)
     in
     Cmd.v
       (Cmd.info "slowest" ~doc:"The N slowest completed requests with their phase splits")
@@ -1063,18 +1055,16 @@ let trace_cmd =
   in
   let critical_cmd =
     let run path =
-      if Jord_obsv.Ftrace.is_fleet_file ~path then begin
-        (* Fleet spans are flat, so "critical path" means the blame report:
-           which phase owns the p99 tail, per fn and per member. *)
-        let l = fleet_of path in
-        print_string (Jord_obsv.Freport.blame l);
-        fleet_check l
-      end
-      else begin
-        let _, r = spans_of path in
-        print_string (Jord_obsv.Report.critical_path r);
-        check r
-      end
+      match trace_of path with
+      | Jord_obsv.Tracefile.Server l ->
+          let r = Jord_obsv.Tracefile.spans l in
+          print_string (Jord_obsv.Report.critical_path r);
+          check r
+      | Jord_obsv.Tracefile.Fleet l ->
+          (* Fleet spans are flat, so "critical path" means the blame report:
+             which phase owns the p99 tail, per fn and per member. *)
+          print_string (Jord_obsv.Freport.blame l);
+          fleet_check l
     in
     Cmd.v
       (Cmd.info "critical-path"
@@ -1097,21 +1087,21 @@ let trace_cmd =
     in
     let run path out fmt =
       let body =
-        if Jord_obsv.Ftrace.is_fleet_file ~path then
-          let l = fleet_of path in
-          match fmt with
-          | `Chrome -> Jord_obsv.Freport.chrome_json l
-          | `Json -> Jord_obsv.Freport.blame_json l
-          | `Csv -> Jord_obsv.Freport.blame_csv l
-        else
-          let l, r = spans_of path in
-          match fmt with
-          | `Chrome ->
-              Jord_obsv.Export.chrome_json
-                ~orch_cores:(Jord_obsv.Tracefile.orch_cores l)
-                ~events:l.Jord_obsv.Tracefile.events r
-          | `Json -> Jord_obsv.Export.blame_json r
-          | `Csv -> Jord_obsv.Export.blame_csv r
+        match trace_of path with
+        | Jord_obsv.Tracefile.Server l -> (
+            let r = Jord_obsv.Tracefile.spans l in
+            match fmt with
+            | `Chrome ->
+                Jord_obsv.Export.chrome_json
+                  ~orch_cores:(Jord_obsv.Tracefile.orch_cores l)
+                  ~events:l.Jord_obsv.Tracefile.events r
+            | `Json -> Jord_obsv.Export.blame_json r
+            | `Csv -> Jord_obsv.Export.blame_csv r)
+        | Jord_obsv.Tracefile.Fleet l -> (
+            match fmt with
+            | `Chrome -> Jord_obsv.Freport.chrome_json l
+            | `Json -> Jord_obsv.Freport.blame_json l
+            | `Csv -> Jord_obsv.Freport.blame_csv l)
       in
       let oc = open_out out in
       output_string oc body;
@@ -1155,7 +1145,7 @@ let slo_cmd =
     (* Fleet traces hold sampled spans, not the complete event stream, so an
        offline SLO replay would silently mis-count; the fleet run prints its
        rollup live (and --slo-out saves it). *)
-    if Jord_obsv.Ftrace.is_fleet_file ~path then begin
+    let refuse_fleet () =
       Printf.eprintf
         "jordctl slo: %s is a fleet trace (tail-sampled spans, not the full \
          event stream)\n\
@@ -1163,7 +1153,11 @@ let slo_cmd =
          --fleet N --slo SPEC [--slo-out FILE]`\n"
         path;
       exit 2
-    end;
+    in
+    (* The file kind is judged before the spec, the spec before a load
+       error or truncation warning. *)
+    let loaded = Jord_obsv.Tracefile.load ~path in
+    (match loaded with Ok (Jord_obsv.Tracefile.Fleet _) -> refuse_fleet () | _ -> ());
     match Jord_obsv.Slo.parse_arg spec with
     | Error msg ->
         prerr_endline ("jordctl: bad --slo spec: " ^ msg);
@@ -1172,15 +1166,9 @@ let slo_cmd =
         prerr_endline "jordctl: the spec selects no objectives (preset \"none\")";
         exit 2
     | Ok objectives -> (
-        match Jord_obsv.Tracefile.load ~path with
-        | Error msg ->
-            prerr_endline ("jordctl: " ^ msg);
-            exit 2
-        | Ok l ->
-            if l.Jord_obsv.Tracefile.truncated then
-              Printf.eprintf "WARNING: ring truncated, %d events dropped\n"
-                (l.Jord_obsv.Tracefile.total_emitted
-                - List.length l.Jord_obsv.Tracefile.events);
+        match checked_trace loaded with
+        | Jord_obsv.Tracefile.Fleet _ -> refuse_fleet ()
+        | Jord_obsv.Tracefile.Server l ->
             (* Finish where the recording run's engine stopped (when the
                file says), so replayed reports match live ones exactly. *)
             let finish_ps =

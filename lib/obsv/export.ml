@@ -5,8 +5,6 @@ module Json = Jord_util.Json
    from a file, with flow events (parent -> child spawns and cross-server
    hops), and JSON/CSV blame profiles per function. *)
 
-let us ps = float_of_int ps /. 1e6
-
 (* Flow-id spaces: spawn flows use the child's req_id, hop flows an offset
    counter, so the two families never collide. *)
 let hop_flow_base = 1 lsl 30
@@ -26,7 +24,7 @@ let flow ~ph ~id ~pid ~tid ~ts ~name =
        ("name", Json.String name);
        ("pid", Json.Int pid);
        ("tid", Json.Int tid);
-       ("ts", Json.Float (us ts));
+       ("ts", Json.Float (Slo.us ts));
      ]
     @ if ph = "f" then [ ("bp", Json.String "e") ] else [])
 
@@ -65,7 +63,7 @@ let entry (e : Trace.event) =
       ("name", Json.String (e.Trace.fn ^ "/" ^ Trace.kind_name e.Trace.kind));
       ("pid", Json.Int (e.Trace.sid + 1));
       ("tid", Json.Int (Int.max 0 e.Trace.core));
-      ("ts", Json.Float (us e.Trace.at_ps));
+      ("ts", Json.Float (Slo.us e.Trace.at_ps));
       ( "args",
         Json.Obj
           ([
@@ -76,14 +74,15 @@ let entry (e : Trace.event) =
           @ (if e.Trace.parent_id < 0 then []
              else [ ("parent", Json.Int e.Trace.parent_id) ])
           @ (if e.Trace.stall_ps = 0 then []
-             else [ ("vm_stall_us", Json.Float (us e.Trace.stall_ps)) ])
+             else [ ("vm_stall_us", Json.Float (Slo.us e.Trace.stall_ps)) ])
           @ if e.Trace.detail = "" then []
             else [ ("detail", Json.String e.Trace.detail) ]) );
     ]
   in
   match e.Trace.kind with
   | Trace.Segment ->
-      Json.Obj (("ph", Json.String "X") :: ("dur", Json.Float (us e.Trace.dur_ps)) :: common)
+      Json.Obj
+        (("ph", Json.String "X") :: ("dur", Json.Float (Slo.us e.Trace.dur_ps)) :: common)
   | Trace.Alert ->
       (* Global instant markers: SLO fire/resolve transitions line up with
          every span track on the Perfetto timeline. *)
@@ -165,55 +164,58 @@ let chrome_json ?(orch_cores = []) ~events (r : Span.result) =
   Json.to_string (Json.Obj [ ("traceEvents", Json.List evs) ])
 
 (* Blame profiles: per entry function, end-to-end phase means plus the mean
-   critical-path blame. *)
+   critical-path blame in ns. *)
 let profile (r : Span.result) =
-  let stats = Report.by_function r in
-  let cp = Hashtbl.create 16 in
-  List.iter
-    (fun sp ->
-      let b = Critical_path.of_root r sp in
-      let n, acc =
-        Option.value ~default:(0, Array.make Span.phase_count 0.0)
-          (Hashtbl.find_opt cp sp.Span.fn)
-      in
-      Array.iteri
-        (fun i v -> acc.(i) <- acc.(i) +. float_of_int v)
-        b.Critical_path.phases;
-      Hashtbl.replace cp sp.Span.fn (n + 1, acc))
-    (Report.complete_roots r);
+  let cp =
+    Report.critical_path_means
+      (List.map (fun sp -> (sp, Critical_path.of_root r sp)) (Report.complete_roots r))
+  in
+  (* Both tables cover the same complete roots, so every fn has a blame row. *)
   List.map
     (fun (s : Report.fn_stats) ->
-      let cp_mean =
-        match Hashtbl.find_opt cp s.Report.fn with
-        | Some (n, acc) when n > 0 -> Array.map (fun v -> v /. float_of_int n) acc
-        | _ -> Array.make Span.phase_count 0.0
-      in
-      (s, cp_mean))
-    stats
+      (s, Array.map (fun v -> v /. 1e3) (snd (List.assoc s.Report.fn cp))))
+    (Report.by_function r)
+
+let phase_fields ~names values =
+  Json.Obj (Array.to_list (Array.mapi (fun i name -> (name, Json.Float values.(i))) names))
+
+let fn_fields ~names (s : Report.fn_stats) =
+  [
+    ("fn", Json.String s.Report.fn);
+    ("count", Json.Int s.Report.n);
+    ("mean_us", Json.Float (s.Report.mean_ps /. 1e6));
+    ("p50_us", Json.Float (Slo.us s.Report.p50_ps));
+    ("p99_us", Json.Float (Slo.us s.Report.p99_ps));
+    ( "phase_mean_ns",
+      phase_fields ~names (Array.map (fun v -> v /. 1e3) s.Report.phase_mean_ps) );
+  ]
+
+let profile_csv ~names ~last rows =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf ("fn,count,mean_us,p50_us,p99_us,phase,mean_ns," ^ last ^ "\n");
+  List.iter
+    (fun ((s : Report.fn_stats), values) ->
+      Array.iteri
+        (fun i name ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s,%d,%.4f,%.4f,%.4f,%s,%.2f,%.2f\n" s.Report.fn s.Report.n
+               (s.Report.mean_ps /. 1e6)
+               (Slo.us s.Report.p50_ps)
+               (Slo.us s.Report.p99_ps)
+               name
+               (s.Report.phase_mean_ps.(i) /. 1e3)
+               values.(i)))
+        names)
+    rows;
+  Buffer.contents buf
 
 let blame_json (r : Span.result) =
   let rows =
     List.map
-      (fun ((s : Report.fn_stats), cp_mean) ->
-        let phases which arr =
-          ( which,
-            Json.Obj
-              (Array.to_list
-                 (Array.map
-                    (fun ph ->
-                      (Span.phase_name ph, Json.Float (arr.(Span.phase_index ph) /. 1e3)))
-                    Span.all_phases)) )
-        in
+      (fun (s, cp_ns) ->
         Json.Obj
-          [
-            ("fn", Json.String s.Report.fn);
-            ("count", Json.Int s.Report.n);
-            ("mean_us", Json.Float (s.Report.mean_ps /. 1e6));
-            ("p50_us", Json.Float (Report.us s.Report.p50_ps));
-            ("p99_us", Json.Float (Report.us s.Report.p99_ps));
-            phases "phase_mean_ns" s.Report.phase_mean_ps;
-            phases "critical_path_mean_ns" cp_mean;
-          ])
+          (fn_fields ~names:Report.phase_names s
+          @ [ ("critical_path_mean_ns", phase_fields ~names:Report.phase_names cp_ns) ]))
       (profile r)
   in
   Json.to_string
@@ -224,21 +226,4 @@ let blame_json (r : Span.result) =
        ])
 
 let blame_csv (r : Span.result) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "fn,count,mean_us,p50_us,p99_us,phase,mean_ns,critical_path_ns\n";
-  List.iter
-    (fun ((s : Report.fn_stats), cp_mean) ->
-      Array.iter
-        (fun ph ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%d,%.4f,%.4f,%.4f,%s,%.2f,%.2f\n" s.Report.fn
-               s.Report.n
-               (s.Report.mean_ps /. 1e6)
-               (Report.us s.Report.p50_ps)
-               (Report.us s.Report.p99_ps)
-               (Span.phase_name ph)
-               (s.Report.phase_mean_ps.(Span.phase_index ph) /. 1e3)
-               (cp_mean.(Span.phase_index ph) /. 1e3)))
-        Span.all_phases)
-    (profile r);
-  Buffer.contents buf
+  profile_csv ~names:Report.phase_names ~last:"critical_path_ns" (profile r)

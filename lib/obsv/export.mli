@@ -25,3 +25,16 @@ val flow :
 
 val blame_json : Span.result -> string
 val blame_csv : Span.result -> string
+
+(** {2 Blame-profile rows shared with {!Freport}} *)
+
+val fn_fields :
+  names:string array -> Report.fn_stats -> (string * Jord_util.Json.t) list
+(** The leading JSON fields of one function's profile: [fn], [count],
+    [mean_us], [p50_us], [p99_us] and [phase_mean_ns] (one key per phase
+    name). *)
+
+val profile_csv :
+  names:string array -> last:string -> (Report.fn_stats * float array) list -> string
+(** The flat blame CSV: a header ending in column [last], then one row per
+    (function, phase) whose last cell is that phase's value. *)

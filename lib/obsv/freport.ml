@@ -6,18 +6,10 @@ module Json = Jord_util.Json
    span itself and the interesting question becomes *blame*: which phase
    owns the tail, per entry function and per member, plus how evenly the
    balancer spread the load. All statistics are over the retained
-   (tail-sampled) set; the headline line says so. *)
+   (tail-sampled) set; the headline line says so. The percentiles,
+   per-function statistics and phase table are Report's. *)
 
-let us ps = float_of_int ps /. 1e6
-
-let percentile p sorted =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-    sorted.(Int.max 0 (Int.min (n - 1) rank))
-
-let spans_of (l : Ftrace.loaded) = List.map snd l.Ftrace.spans
+let spans_of (l : Tracefile.fleet) = List.map snd l.Tracefile.spans
 
 let completed l =
   List.filter (fun sp -> sp.Fspan.outcome = Fspan.Completed) (spans_of l)
@@ -39,102 +31,34 @@ let conservation_line l =
   | [] ->
       Printf.sprintf
         "conservation: ok (%d retained spans; phases sum exactly to end-to-end)"
-        (List.length l.Ftrace.spans)
+        (List.length l.Tracefile.spans)
   | errs ->
       Printf.sprintf "conservation: VIOLATED (%d spans)\n  %s" (List.length errs)
         (String.concat "\n  " errs)
 
-let headline (l : Ftrace.loaded) =
-  let census = Hashtbl.create 8 in
-  List.iter
-    (fun (reason, _) ->
-      Hashtbl.replace census reason
-        (1 + Option.value ~default:0 (Hashtbl.find_opt census reason)))
-    l.Ftrace.spans;
+let headline (l : Tracefile.fleet) =
   let parts =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) census []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+    List.map
+      (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+      (Ftrace.keep_counts l.Tracefile.spans)
   in
   Printf.sprintf "fleet trace: %d spans retained of %d requests (keep: %s)\n"
-    (List.length l.Ftrace.spans)
-    l.Ftrace.offered_total
+    (List.length l.Tracefile.spans)
+    l.Tracefile.offered_total
     (if parts = [] then "-" else String.concat " " parts)
 
-let phase_table buf ~label rows =
-  (* rows : (name, total_ps float array) — per-phase microseconds and
-     shares, one line per row (the single-node Report layout). *)
-  Buffer.add_string buf (Printf.sprintf "%-16s %10s" label "e2e_us");
-  Array.iter
-    (fun ph ->
-      Buffer.add_string buf (Printf.sprintf " %14s" (Fspan.phase_name ph)))
-    Fspan.all_phases;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (name, phases) ->
-      let total = Array.fold_left ( +. ) 0.0 phases in
-      Buffer.add_string buf (Printf.sprintf "%-16s %10.3f" name (total /. 1e6));
-      Array.iter
-        (fun ph ->
-          let v = phases.(Fspan.phase_index ph) in
-          let share = if total > 0.0 then 100.0 *. v /. total else 0.0 in
-          Buffer.add_string buf (Printf.sprintf " %9.3f/%3.0f%%" (v /. 1e6) share))
-        Fspan.all_phases;
-      Buffer.add_char buf '\n')
-    rows
+let phase_names = Array.map Fspan.phase_name Fspan.all_phases
 
-type fn_stats = {
-  fn : string;
-  n : int;
-  mean_ps : float;
-  p50_ps : int;
-  p99_ps : int;
-  phase_mean_ps : float array;  (* by Fspan.phase_index *)
-  tail_phase_ps : int array;  (* phase totals over the >= p99 slice *)
-  tail_n : int;
-}
+let stats_by ~fn sps =
+  Report.by_fn ~fn ~e2e:Fspan.e2e_ps ~phases:(fun sp -> sp.Fspan.phases) sps
 
-let group_by_fn sps =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun sp ->
-      let l = Option.value ~default:[] (Hashtbl.find_opt tbl sp.Fspan.fn) in
-      Hashtbl.replace tbl sp.Fspan.fn (sp :: l))
-    sps;
-  Hashtbl.fold (fun fn sps acc -> (fn, sps) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let by_function l = stats_by ~fn:(fun sp -> sp.Fspan.fn) (completed l)
 
-let by_function l =
-  List.map
-    (fun (fn, sps) ->
-      let n = List.length sps in
-      let lat = Array.of_list (List.map Fspan.e2e_ps sps) in
-      Array.sort compare lat;
-      let p99 = percentile 99.0 lat in
-      let phase_mean_ps =
-        Array.init Fspan.phase_count (fun i ->
-            List.fold_left (fun s sp -> s +. float_of_int sp.Fspan.phases.(i)) 0.0 sps
-            /. float_of_int n)
-      in
-      let tail = List.filter (fun sp -> Fspan.e2e_ps sp >= p99) sps in
-      let tail_phase_ps = Array.make Fspan.phase_count 0 in
-      List.iter
-        (fun sp ->
-          Array.iteri (fun i v -> tail_phase_ps.(i) <- tail_phase_ps.(i) + v)
-            sp.Fspan.phases)
-        tail;
-      {
-        fn;
-        n;
-        mean_ps =
-          Array.fold_left (fun s v -> s +. float_of_int v) 0.0 lat /. float_of_int n;
-        p50_ps = percentile 50.0 lat;
-        p99_ps = p99;
-        phase_mean_ps;
-        tail_phase_ps;
-        tail_n = List.length tail;
-      })
-    (group_by_fn (completed l))
+let attribution buf stats =
+  Buffer.add_string buf
+    "per-phase attribution, completed requests (mean us per request / share of \
+     e2e):\n";
+  Report.phase_table buf ~names:phase_names ~label:"fn" (Report.fn_rows stats)
 
 (* "p99 is X% cold-start / Y% member queue / ..." over a tail slice's phase
    totals, heaviest phase first, zero phases omitted. *)
@@ -164,15 +88,7 @@ let breakdown l =
   Buffer.add_string buf (headline l);
   let stats = by_function l in
   if stats = [] then Buffer.add_string buf "no completed spans retained\n"
-  else begin
-    Buffer.add_string buf
-      "per-phase attribution, completed requests (mean us per request / share of \
-       e2e):\n";
-    phase_table buf ~label:"fn"
-      (List.map
-         (fun s -> (Printf.sprintf "%s(%d)" s.fn s.n, s.phase_mean_ps))
-         stats)
-  end;
+  else attribution buf stats;
   Buffer.add_string buf (conservation_line l);
   Buffer.add_char buf '\n';
   Buffer.contents buf
@@ -186,17 +102,12 @@ let slowest ?(n = 10) l =
         compare (Fspan.e2e_ps b, a.Fspan.req_id) (Fspan.e2e_ps a, b.Fspan.req_id))
       (completed l)
   in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
-  let picked = take n sps in
+  let picked = List.filteri (fun i _ -> i < n) sps in
   if picked = [] then Buffer.add_string buf "no completed spans retained\n"
   else begin
     Buffer.add_string buf
       (Printf.sprintf "slowest %d retained requests:\n" (List.length picked));
-    phase_table buf ~label:"req"
+    Report.phase_table buf ~names:phase_names ~label:"req"
       (List.map
          (fun sp ->
            ( Printf.sprintf "#%d %s@m%d%s" sp.Fspan.req_id sp.Fspan.fn
@@ -244,7 +155,7 @@ let by_member l =
            else
              Array.fold_left (fun s v -> s +. float_of_int v) 0.0 lat
              /. float_of_int (Array.length lat));
-        m_p99_ps = percentile 99.0 lat;
+        m_p99_ps = Report.percentile 99.0 lat;
       }
       :: acc)
     tbl []
@@ -294,46 +205,26 @@ let blame l =
   end
   else begin
     let stats = by_function l in
-    Buffer.add_string buf
-      "per-phase attribution, completed requests (mean us per request / share of \
-       e2e):\n";
-    phase_table buf ~label:"fn"
-      (List.map
-         (fun s -> (Printf.sprintf "%s(%d)" s.fn s.n, s.phase_mean_ps))
-         stats);
+    attribution buf stats;
     Buffer.add_string buf "per-fn tail (requests at or above the fn's p99):\n";
     List.iter
-      (fun s ->
+      (fun (s : Report.fn_stats) ->
         let _, parts = tail_split s.tail_phase_ps in
         Buffer.add_string buf
           (Printf.sprintf "  %-16s p99=%.3fus n=%d: p99 is %s\n" s.fn
-             (us s.p99_ps) s.tail_n (tail_split_string parts)))
+             (Slo.us s.p99_ps) s.tail_n (tail_split_string parts)))
       stats;
-    (* Fleet-wide tail verdict. *)
-    let lat = Array.of_list (List.map Fspan.e2e_ps comp) in
-    Array.sort compare lat;
-    let p99 = percentile 99.0 lat in
-    let tail = List.filter (fun sp -> Fspan.e2e_ps sp >= p99) comp in
-    let acc = Array.make Fspan.phase_count 0 in
-    List.iter
-      (fun sp -> Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) sp.Fspan.phases)
-      tail;
-    let worst, parts = tail_split acc in
+    (* Fleet-wide tail verdict: every completed span as one group. *)
+    let fleet = List.hd (stats_by ~fn:(fun _ -> "*") comp) in
+    let worst, parts = tail_split fleet.Report.tail_phase_ps in
     Buffer.add_string buf
       (Printf.sprintf "tail: for p99 requests (>= %.3f us, n=%d), p99 is %s\n"
-         (us p99) (List.length tail) (tail_split_string parts));
+         (Slo.us fleet.Report.p99_ps) fleet.Report.tail_n (tail_split_string parts));
     Buffer.add_string buf
       (Printf.sprintf "verdict: %s dominates the fleet p99 tail\n" worst);
     (* Per-member view, capped deterministically. *)
     let members = by_member l in
-    let shown =
-      let rec take k = function
-        | [] -> []
-        | _ when k = 0 -> []
-        | x :: tl -> x :: take (k - 1) tl
-      in
-      take member_cap members
-    in
+    let shown = List.filteri (fun i _ -> i < member_cap) members in
     Buffer.add_string buf
       (Printf.sprintf "per-member (top %d of %d by retained requests):\n"
          (List.length shown) (List.length members));
@@ -345,7 +236,7 @@ let blame l =
         Buffer.add_string buf
           (Printf.sprintf "  %-8d %8d %8d %6d %6d %6d %10.3f %10.3f\n" m.member
              m.routed m.m_completed m.m_shed m.hits m.colds (m.m_mean_ps /. 1e6)
-             (us m.m_p99_ps)))
+             (Slo.us m.m_p99_ps)))
       shown;
     Buffer.add_string buf (imbalance_line members);
     Buffer.add_string buf (conservation_line l);
@@ -374,15 +265,15 @@ let span_args keep sp =
       @ Array.to_list
           (Array.map
              (fun ph ->
-               (Fspan.phase_name ph ^ "_us", Json.Float (us (Fspan.phase_ps sp ph))))
+               (Fspan.phase_name ph ^ "_us", Json.Float (Slo.us (Fspan.phase_ps sp ph))))
              Fspan.all_phases)) )
 
-let chrome_json (l : Ftrace.loaded) =
+let chrome_json (l : Tracefile.fleet) =
   let members = Hashtbl.create 32 in
   List.iter
     (fun (_, sp) ->
       if sp.Fspan.member >= 0 then Hashtbl.replace members sp.Fspan.member ())
-    l.Ftrace.spans;
+    l.Tracefile.spans;
   let procs =
     Export.meta ~pid:balancer_pid ~name:"fleet balancer" "process_name"
     :: (Hashtbl.fold
@@ -407,8 +298,8 @@ let chrome_json (l : Ftrace.loaded) =
              ("name", Json.String sp.Fspan.fn);
              ("pid", Json.Int balancer_pid);
              ("tid", Json.Int 0);
-             ("ts", Json.Float (us sp.Fspan.submit_ps));
-             ("dur", Json.Float (us (Fspan.e2e_ps sp)));
+             ("ts", Json.Float (Slo.us sp.Fspan.submit_ps));
+             ("dur", Json.Float (Slo.us (Fspan.e2e_ps sp)));
              args;
            ]);
       if sp.Fspan.member >= 0 then begin
@@ -434,8 +325,8 @@ let chrome_json (l : Ftrace.loaded) =
                );
                ("pid", Json.Int (member_pid sp.Fspan.member));
                ("tid", Json.Int 0);
-               ("ts", Json.Float (us arrive));
-               ("dur", Json.Float (us busy));
+               ("ts", Json.Float (Slo.us arrive));
+               ("dur", Json.Float (Slo.us busy));
                args;
              ]);
         (* Request and response wire hops as flow arrows. *)
@@ -465,10 +356,10 @@ let chrome_json (l : Ftrace.loaded) =
                ("name", Json.String (sp.Fspan.fn ^ " (shed-lb)"));
                ("pid", Json.Int balancer_pid);
                ("tid", Json.Int 0);
-               ("ts", Json.Float (us sp.Fspan.submit_ps));
+               ("ts", Json.Float (Slo.us sp.Fspan.submit_ps));
                args;
              ]))
-    l.Ftrace.spans;
+    l.Tracefile.spans;
   Json.to_string (Json.Obj [ ("traceEvents", Json.List (procs @ List.rev !out)) ])
 
 (* --- blame profiles, matching the single-node Export conventions --- *)
@@ -476,56 +367,30 @@ let chrome_json (l : Ftrace.loaded) =
 let blame_json l =
   let rows =
     List.map
-      (fun s ->
+      (fun (s : Report.fn_stats) ->
         let _, parts = tail_split s.tail_phase_ps in
         Json.Obj
-          [
-            ("fn", Json.String s.fn);
-            ("count", Json.Int s.n);
-            ("mean_us", Json.Float (s.mean_ps /. 1e6));
-            ("p50_us", Json.Float (us s.p50_ps));
-            ("p99_us", Json.Float (us s.p99_ps));
-            ( "phase_mean_ns",
-              Json.Obj
-                (Array.to_list
-                   (Array.map
-                      (fun ph ->
-                        ( Fspan.phase_name ph,
-                          Json.Float (s.phase_mean_ps.(Fspan.phase_index ph) /. 1e3)
-                        ))
-                      Fspan.all_phases)) );
-            ( "tail_share_pct",
-              Json.Obj (List.map (fun (name, pct) -> (name, Json.Float pct)) parts)
-            );
-          ])
+          (Export.fn_fields ~names:phase_names s
+          @ [
+              ( "tail_share_pct",
+                Json.Obj (List.map (fun (name, pct) -> (name, Json.Float pct)) parts) );
+            ]))
       (by_function l)
   in
   Json.to_string
     (Json.Obj
        [
-         ("offered", Json.Int l.Ftrace.offered_total);
-         ("retained", Json.Int (List.length l.Ftrace.spans));
+         ("offered", Json.Int l.Tracefile.offered_total);
+         ("retained", Json.Int (List.length l.Tracefile.spans));
          ("functions", Json.List rows);
        ])
 
 let blame_csv l =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "fn,count,mean_us,p50_us,p99_us,phase,mean_ns,tail_share_pct\n";
-  List.iter
-    (fun s ->
-      let tail_total = Array.fold_left ( + ) 0 s.tail_phase_ps in
-      Array.iter
-        (fun ph ->
-          let i = Fspan.phase_index ph in
-          let tail_pct =
-            if tail_total = 0 then 0.0
-            else 100.0 *. float_of_int s.tail_phase_ps.(i) /. float_of_int tail_total
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%d,%.4f,%.4f,%.4f,%s,%.2f,%.2f\n" s.fn s.n
-               (s.mean_ps /. 1e6) (us s.p50_ps) (us s.p99_ps) (Fspan.phase_name ph)
-               (s.phase_mean_ps.(i) /. 1e3)
-               tail_pct))
-        Fspan.all_phases)
-    (by_function l);
-  Buffer.contents buf
+  let tail_pct (s : Report.fn_stats) =
+    let total = Array.fold_left ( + ) 0 s.tail_phase_ps in
+    Array.map
+      (fun v -> if total = 0 then 0.0 else 100.0 *. float_of_int v /. float_of_int total)
+      s.tail_phase_ps
+  in
+  Export.profile_csv ~names:phase_names ~last:"tail_share_pct"
+    (List.map (fun s -> (s, tail_pct s)) (by_function l))

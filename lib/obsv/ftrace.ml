@@ -1,5 +1,3 @@
-module Json = Jord_util.Json
-
 (* The fleet tracer: glue between the fleet's span construction, the
    deterministic tail sampler, and the rollup's exemplar machinery.
 
@@ -47,108 +45,12 @@ let on_exemplar t = function
 let retained t = Fsampler.retained t.sampler
 let retained_ids t = List.map (fun (_, sp) -> sp.Fspan.req_id) (retained t)
 
-(* Retention-reason census of the final set, sorted by reason name. *)
-let keep_counts t =
+(* Retention-reason census of a retained set, sorted by reason name. *)
+let keep_counts retained =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (reason, _) ->
       Hashtbl.replace tbl reason (1 + Option.value ~default:0 (Hashtbl.find_opt tbl reason)))
-    (retained t);
+    retained;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* --- fleet trace files: JSONL, one header object then one span per line,
-   sorted by request id (the sampler's canonical order) --- *)
-
-let format_version = 1
-
-let save ~path ?(meta = []) t =
-  let spans = retained t in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let header =
-        Json.Obj
-          ([
-             ("jord_fleet_trace", Json.Int format_version);
-             ("offered", Json.Int (offered t));
-             ("retained", Json.Int (List.length spans));
-             ("reservoir", Json.Int (reservoir t));
-             ("seed", Json.Int (seed t));
-           ]
-          @ meta)
-      in
-      output_string oc (Json.to_string header);
-      output_char oc '\n';
-      List.iter
-        (fun (keep, sp) ->
-          output_string oc (Fspan.to_json_line ~keep sp);
-          output_char oc '\n')
-        spans)
-
-type loaded = {
-  spans : (string * Fspan.t) list;  (** [(keep_reason, span)], by req id. *)
-  offered_total : int;
-  meta : Json.t;  (** The whole header object. *)
-}
-
-let load ~path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let parse_line n line =
-            match Json.of_string line with
-            | Error msg -> Error (Printf.sprintf "%s:%d: %s" path n msg)
-            | Ok j -> Ok j
-          in
-          match input_line ic with
-          | exception End_of_file -> Error (path ^ ": empty trace file")
-          | first -> (
-              match parse_line 1 first with
-              | Error _ as e -> e
-              | Ok header when Json.member "jord_fleet_trace" header = None ->
-                  Error
-                    (path
-                   ^ ": not a fleet trace file (missing jord_fleet_trace header)")
-              | Ok header ->
-                  let rec go n acc =
-                    match input_line ic with
-                    | exception End_of_file -> Ok (List.rev acc)
-                    | "" -> go (n + 1) acc
-                    | line -> (
-                        match parse_line n line with
-                        | Error _ as e -> e
-                        | Ok j -> (
-                            match Fspan.of_json j with
-                            | Error msg ->
-                                Error (Printf.sprintf "%s:%d: %s" path n msg)
-                            | Ok ks -> go (n + 1) (ks :: acc)))
-                  in
-                  Result.map
-                    (fun spans ->
-                      {
-                        spans;
-                        offered_total = Json.int_member "offered" header;
-                        meta = header;
-                      })
-                    (go 2 [])))
-
-(* Header peek so jordctl can dispatch one [--trace] path to either the
-   single-node or the fleet reader. *)
-let is_fleet_file ~path =
-  match open_in path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          match input_line ic with
-          | exception End_of_file -> false
-          | first -> (
-              match Json.of_string first with
-              | Ok j -> Json.member "jord_fleet_trace" j <> None
-              | Error _ -> false))

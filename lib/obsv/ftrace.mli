@@ -2,10 +2,10 @@
 
     Owns an {!Fsampler} and listens to the rollup's exemplar events so
     that every exemplar trace id named by a verdict table is guaranteed to
-    be present in the saved trace file. The fleet records each finished
-    span (with its always-keep rule, if any) immediately before feeding
-    the request to {!Rollup.observe}; wire {!on_exemplar} to
-    {!Rollup.set_exemplar_hook} to complete the loop. *)
+    be present in the saved trace file ({!Tracefile.save_fleet}). The
+    fleet records each finished span (with its always-keep rule, if any)
+    immediately before feeding the request to {!Rollup.observe}; wire
+    {!on_exemplar} to {!Rollup.set_exemplar_hook} to complete the loop. *)
 
 type t
 
@@ -30,22 +30,6 @@ val retained : t -> (string * Fspan.t) list
 
 val retained_ids : t -> int list
 
-val keep_counts : t -> (string * int) list
-(** Census of retention reasons, sorted by reason name. *)
-
-val save : path:string -> ?meta:(string * Jord_util.Json.t) list -> t -> unit
-(** Write the retained set as JSONL: a header object carrying
-    ["jord_fleet_trace"], offered/retained counts, sampler seed and
-    reservoir plus [meta], then one compact span object per line. *)
-
-type loaded = {
-  spans : (string * Fspan.t) list;  (** [(keep_reason, span)], by req id. *)
-  offered_total : int;
-  meta : Jord_util.Json.t;  (** The whole header object. *)
-}
-
-val load : path:string -> (loaded, string) result
-
-val is_fleet_file : path:string -> bool
-(** Peek at the first line: is this a fleet trace file (as opposed to a
-    single-node {!Tracefile})? Missing or unreadable files are [false]. *)
+val keep_counts : (string * Fspan.t) list -> (string * int) list
+(** Census of retention reasons over a retained set (a tracer's or a loaded
+    file's), sorted by reason name. *)

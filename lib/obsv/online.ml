@@ -228,8 +228,6 @@ let register_metrics t ?(labels = []) registry =
 
 (* --- rendering --- *)
 
-let us ps = float_of_int ps /. 1e6
-
 let alerts_text t =
   match transitions t with
   | [] -> "no alert transitions\n"
@@ -262,8 +260,8 @@ let burn_text t =
                 (fun (w : Slo.window) ->
                   [
                     string_of_int w.w_index;
-                    Printf.sprintf "%.1f" (us (w.w_index * o.Slo.window_ps));
-                    Printf.sprintf "%.1f" (us ((w.w_index + 1) * o.Slo.window_ps));
+                    Printf.sprintf "%.1f" (Slo.us (w.w_index * o.Slo.window_ps));
+                    Printf.sprintf "%.1f" (Slo.us ((w.w_index + 1) * o.Slo.window_ps));
                     string_of_int w.w_total;
                     string_of_int w.w_bad;
                     Printf.sprintf "%.2f" w.w_burn_fast;
@@ -281,7 +279,7 @@ let burn_text t =
 let transition_json (tr : Slo.transition) =
   Json.Obj
     [
-      ("at_us", Json.Float (us tr.Slo.tr_at_ps));
+      ("at_us", Json.Float (Slo.us tr.Slo.tr_at_ps));
       ("objective", Json.String tr.Slo.tr_objective);
       ("transition", Json.String (if tr.Slo.tr_firing then "fire" else "resolve"));
       ("window", Json.Int tr.Slo.tr_window);
@@ -317,8 +315,8 @@ let report_json t =
                     ( Span.phase_name ph,
                       Json.Int s.s_phase_sum_ps.(Span.phase_index ph) ))
                   Span.all_phases)) );
-        ("measured_quantile_us", Json.Float (us s.s_quantile_ps));
-        ("threshold_us", Json.Float (us o.Slo.threshold_ps));
+        ("measured_quantile_us", Json.Float (Slo.us s.s_quantile_ps));
+        ("threshold_us", Json.Float (Slo.us o.Slo.threshold_ps));
         ("windows_closed", Json.Int s.s_windows_closed);
         ("alerts_fired", Json.Int s.s_fired);
         ("alerts_resolved", Json.Int s.s_resolved);
@@ -345,8 +343,8 @@ let burn_csv t =
           Buffer.add_string buf
             (Printf.sprintf "%s,%d,%.3f,%.3f,%d,%d,%.4f,%.4f,%d\n" o.Slo.name
                w.w_index
-               (us (w.w_index * o.Slo.window_ps))
-               (us ((w.w_index + 1) * o.Slo.window_ps))
+               (Slo.us (w.w_index * o.Slo.window_ps))
+               (Slo.us ((w.w_index + 1) * o.Slo.window_ps))
                w.w_total w.w_bad w.w_burn_fast w.w_burn_slow
                (if w.w_firing then 1 else 0)))
         s.s_windows)

@@ -1,6 +1,6 @@
-(* Text reports over a span forest — what [jordctl trace] prints. *)
-
-let us ps = float_of_int ps /. 1e6
+(* Text reports over a span forest — what [jordctl trace] prints — and the
+   scaffold the fleet reports (Freport) print with: nearest-rank
+   percentiles, per-function statistics and the phase table. *)
 
 let percentile p sorted =
   let n = Array.length sorted in
@@ -23,40 +23,59 @@ type fn_stats = {
   mean_ps : float;
   p50_ps : int;
   p99_ps : int;
-  phase_mean_ps : float array;  (** Indexed by {!Span.phase_index}. *)
+  phase_mean_ps : float array;
+  tail_phase_ps : int array;
+  tail_n : int;
 }
 
-let by_function r =
+let by_fn ~fn ~e2e ~phases spans =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun sp ->
-      let l = Option.value ~default:[] (Hashtbl.find_opt tbl sp.Span.fn) in
-      Hashtbl.replace tbl sp.Span.fn (sp :: l))
-    (complete_roots r);
+      let key = fn sp in
+      Hashtbl.replace tbl key (sp :: Option.value ~default:[] (Hashtbl.find_opt tbl key)))
+    spans;
   Hashtbl.fold
-    (fun fn sps acc ->
+    (fun name sps acc ->
       let n = List.length sps in
-      let lat = Array.of_list (List.map Span.e2e_ps sps) in
+      let lat = Array.of_list (List.map e2e sps) in
       Array.sort compare lat;
+      let p99 = percentile 99.0 lat in
+      let phase_count = Array.length (phases (List.hd sps)) in
       let phase_mean_ps =
-        Array.init Span.phase_count (fun i ->
-            List.fold_left
-              (fun s sp -> s +. float_of_int sp.Span.phases.(i))
-              0.0 sps
+        Array.init phase_count (fun i ->
+            List.fold_left (fun s sp -> s +. float_of_int (phases sp).(i)) 0.0 sps
             /. float_of_int n)
       in
+      let tail = List.filter (fun sp -> e2e sp >= p99) sps in
+      let tail_phase_ps = Array.make phase_count 0 in
+      List.iter
+        (fun sp ->
+          Array.iteri (fun i v -> tail_phase_ps.(i) <- tail_phase_ps.(i) + v) (phases sp))
+        tail;
       {
-        fn;
+        fn = name;
         n;
         mean_ps =
           Array.fold_left (fun s v -> s +. float_of_int v) 0.0 lat /. float_of_int n;
         p50_ps = percentile 50.0 lat;
-        p99_ps = percentile 99.0 lat;
+        p99_ps = p99;
         phase_mean_ps;
+        tail_phase_ps;
+        tail_n = List.length tail;
       }
       :: acc)
     tbl []
   |> List.sort (fun a b -> compare a.fn b.fn)
+
+(* One phase-table row per function: "fn(count)" and its phase means. *)
+let fn_rows stats =
+  List.map (fun s -> (Printf.sprintf "%s(%d)" s.fn s.n, s.phase_mean_ps)) stats
+
+let by_function r =
+  by_fn ~fn:(fun sp -> sp.Span.fn) ~e2e:Span.e2e_ps
+    ~phases:(fun sp -> sp.Span.phases)
+    (complete_roots r)
 
 let conservation_ok r = Span.conservation_violations r = []
 
@@ -74,28 +93,26 @@ let conservation_line r =
       Printf.sprintf "conservation: VIOLATED (%d spans)\n  %s" (List.length errs)
         (String.concat "\n  " errs)
 
-let phase_table buf ~label rows =
-  (* rows : (name, total_ps array) — prints one line per row with per-phase
-     microseconds and shares. *)
-  Buffer.add_string buf
-    (Printf.sprintf "%-14s %10s" label "e2e_us");
-  Array.iter
-    (fun ph -> Buffer.add_string buf (Printf.sprintf " %12s" (Span.phase_name ph)))
-    Span.all_phases;
+(* Columns fit the longest phase name: the row label two wider, each
+   "us/share" cell as wide as its header. *)
+let phase_table buf ~names ~label rows =
+  let w = Array.fold_left (fun w name -> Int.max w (String.length name)) 0 names in
+  Buffer.add_string buf (Printf.sprintf "%-*s %10s" (w + 2) label "e2e_us");
+  Array.iter (fun name -> Buffer.add_string buf (Printf.sprintf " %*s" w name)) names;
   Buffer.add_char buf '\n';
   List.iter
     (fun (name, phases) ->
       let total = Array.fold_left ( +. ) 0.0 phases in
-      Buffer.add_string buf (Printf.sprintf "%-14s %10.3f" name (total /. 1e6));
+      Buffer.add_string buf (Printf.sprintf "%-*s %10.3f" (w + 2) name (total /. 1e6));
       Array.iter
-        (fun ph ->
-          let v = phases.(Span.phase_index ph) in
+        (fun v ->
           let share = if total > 0.0 then 100.0 *. v /. total else 0.0 in
-          Buffer.add_string buf
-            (Printf.sprintf " %7.3f/%3.0f%%" (v /. 1e6) share))
-        Span.all_phases;
+          Buffer.add_string buf (Printf.sprintf " %*.3f/%3.0f%%" (w - 5) (v /. 1e6) share))
+        phases;
       Buffer.add_char buf '\n')
     rows
+
+let phase_names = Array.map Span.phase_name Span.all_phases
 
 let breakdown r =
   let buf = Buffer.create 2048 in
@@ -109,8 +126,7 @@ let breakdown r =
   else begin
     Buffer.add_string buf
       "per-phase attribution, complete roots (mean us per request / share of e2e):\n";
-    phase_table buf ~label:"fn"
-      (List.map (fun s -> (Printf.sprintf "%s(%d)" s.fn s.n, s.phase_mean_ps)) stats)
+    phase_table buf ~names:phase_names ~label:"fn" (fn_rows stats)
   end;
   Buffer.add_string buf (conservation_line r);
   Buffer.add_char buf '\n';
@@ -122,16 +138,11 @@ let slowest ?(n = 10) r =
   let roots =
     List.sort (fun a b -> compare (Span.e2e_ps b) (Span.e2e_ps a)) (complete_roots r)
   in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
-  let picked = take n roots in
+  let picked = List.filteri (fun i _ -> i < n) roots in
   if picked = [] then Buffer.add_string buf "no complete root spans\n"
   else begin
     Buffer.add_string buf (Printf.sprintf "slowest %d roots:\n" (List.length picked));
-    phase_table buf ~label:"req"
+    phase_table buf ~names:phase_names ~label:"req"
       (List.map
          (fun sp ->
            ( Printf.sprintf "#%d %s" sp.Span.req_id sp.Span.fn,
@@ -139,6 +150,22 @@ let slowest ?(n = 10) r =
          picked)
   end;
   Buffer.contents buf
+
+let critical_path_means blames =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun ((sp : Span.t), (b : Critical_path.blame)) ->
+      let n, acc =
+        Option.value ~default:(0, Array.make Span.phase_count 0.0)
+          (Hashtbl.find_opt tbl sp.Span.fn)
+      in
+      Array.iteri (fun i v -> acc.(i) <- acc.(i) +. float_of_int v) b.Critical_path.phases;
+      Hashtbl.replace tbl sp.Span.fn (n + 1, acc))
+    blames;
+  Hashtbl.fold
+    (fun fn (n, acc) l -> (fn, (n, Array.map (fun v -> v /. float_of_int n) acc)) :: l)
+    tbl []
+  |> List.sort compare
 
 (* Aggregate critical-path blame per entry function plus the tail verdict
    ("for p99 requests, phase X is Y% of latency"). *)
@@ -152,37 +179,25 @@ let critical_path r =
   end
   else begin
     let blames = List.map (fun sp -> (sp, Critical_path.of_root r sp)) roots in
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun ((sp : Span.t), (b : Critical_path.blame)) ->
-        let n, acc =
-          Option.value ~default:(0, Array.make Span.phase_count 0.0)
-            (Hashtbl.find_opt tbl sp.Span.fn)
-        in
-        Array.iteri (fun i v -> acc.(i) <- acc.(i) +. float_of_int v) b.Critical_path.phases;
-        Hashtbl.replace tbl sp.Span.fn (n + 1, acc))
-      blames;
     let rows =
-      Hashtbl.fold
-        (fun fn (n, acc) l ->
-          (Printf.sprintf "%s(%d)" fn n, Array.map (fun v -> v /. float_of_int n) acc)
-          :: l)
-        tbl []
+      List.map
+        (fun (fn, (n, means)) -> (Printf.sprintf "%s(%d)" fn n, means))
+        (critical_path_means blames)
       |> List.sort compare
     in
     Buffer.add_string buf
       "critical-path blame, complete roots (mean us on the longest causal chain):\n";
-    phase_table buf ~label:"fn" rows;
-    (* Tail report over the p99 slice. *)
-    let lat = Array.of_list (List.map (fun (sp, _) -> Span.e2e_ps sp) blames) in
-    Array.sort compare lat;
-    let p99 = percentile 99.0 lat in
-    let tail = List.filter (fun (sp, _) -> Span.e2e_ps sp >= p99) blames in
-    let acc = Array.make Span.phase_count 0 in
-    List.iter
-      (fun (_, (b : Critical_path.blame)) ->
-        Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) b.Critical_path.phases)
-      tail;
+    phase_table buf ~names:phase_names ~label:"fn" rows;
+    (* Tail report over the p99 slice: every root as one group. *)
+    let tail =
+      List.hd
+        (by_fn
+           ~fn:(fun _ -> "*")
+           ~e2e:(fun (sp, _) -> Span.e2e_ps sp)
+           ~phases:(fun (_, b) -> b.Critical_path.phases)
+           blames)
+    in
+    let acc = tail.tail_phase_ps in
     let total = Array.fold_left ( + ) 0 acc in
     if total > 0 then begin
       let worst = ref 0 in
@@ -191,7 +206,7 @@ let critical_path r =
         (Printf.sprintf
            "tail: for p99 requests (>= %.3f us, n=%d), %s is %.1f%% of \
             critical-path latency\n"
-           (us p99) (List.length tail)
+           (Slo.us tail.p99_ps) tail.tail_n
            (Span.phase_name Span.all_phases.(!worst))
            (100.0 *. float_of_int acc.(!worst) /. float_of_int total))
     end;

@@ -153,7 +153,7 @@ let report_json t =
                 rs) );
        ])
 
-(* --- CSV export (the Report.blame conventions: one flat unquoted table,
+(* --- CSV export (the Export.blame_csv conventions: one flat unquoted table,
    objective-level columns repeated on every per-window row) --- *)
 
 let csv_header =

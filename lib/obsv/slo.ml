@@ -14,6 +14,7 @@ type objective = {
 }
 
 let ps_of_us us = int_of_float (us *. 1e6)
+let us ps = float_of_int ps /. 1e6
 
 let default =
   {
@@ -467,8 +468,6 @@ let verdict e =
     match e.obj.kind with
     | Availability -> if within then "met" else "VIOLATED"
     | Latency -> if quantile e <= e.obj.threshold_ps && within then "met" else "VIOLATED"
-
-let us ps = float_of_int ps /. 1e6
 
 let verdict_cells e =
   let o = e.obj in

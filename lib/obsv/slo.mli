@@ -38,6 +38,10 @@ type objective = {
   burn_threshold : float;  (** Fire when both horizons burn >= this. *)
 }
 
+val us : int -> float
+(** Picoseconds to microseconds ([float_of_int ps /. 1e6]): the one
+    conversion every report and export of this library prints with. *)
+
 val default : objective
 (** p99 < 25 us over 250 us windows, 1% budget, 1/4-window horizons,
     burn threshold 1.0 — the ["default"] preset. *)

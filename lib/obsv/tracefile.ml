@@ -1,30 +1,33 @@
 module Trace = Jord_faas.Trace
 module Json = Jord_util.Json
 
-(* JSONL trace files: one header object, then one compact object per event,
-   oldest retained first. All times are integer picoseconds — the format
-   round-trips exactly (the Chrome export's float microseconds do not),
-   which the conservation checks depend on. *)
+(* JSONL trace files of both kinds: one header object, then one compact
+   object per event (oldest retained first) or per span (by request id, the
+   sampler's canonical order). All times are integer picoseconds — the
+   format round-trips exactly (the Chrome export's float microseconds do
+   not), which the conservation checks depend on. *)
 
 let format_version = 1
 
-let save ~path ?(meta = []) tr =
+let write ~path header lines =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      let header =
-        Json.Obj
-          ([
-             ("jord_trace", Json.Int format_version);
-             ("total_emitted", Json.Int (Trace.total_emitted tr));
-             ("capacity", Json.Int (Trace.capacity tr));
-             ("truncated", Json.Bool (Trace.truncated tr));
-           ]
-          @ meta)
-      in
-      output_string oc (Json.to_string header);
+      output_string oc (Json.to_string (Json.Obj header));
       output_char oc '\n';
+      lines oc)
+
+let save ~path ?(meta = []) tr =
+  write ~path
+    ([
+       ("jord_trace", Json.Int format_version);
+       ("total_emitted", Json.Int (Trace.total_emitted tr));
+       ("capacity", Json.Int (Trace.capacity tr));
+       ("truncated", Json.Bool (Trace.truncated tr));
+     ]
+    @ meta)
+    (fun oc ->
       let buf = Buffer.create 256 in
       Trace.iter tr (fun e ->
           Buffer.clear buf;
@@ -49,13 +52,39 @@ let save ~path ?(meta = []) tr =
           Buffer.add_string buf "}\n";
           Buffer.output_buffer oc buf))
 
-type loaded = {
+let save_fleet ~path ?(meta = []) tracer =
+  let spans = Ftrace.retained tracer in
+  write ~path
+    ([
+       ("jord_fleet_trace", Json.Int format_version);
+       ("offered", Json.Int (Ftrace.offered tracer));
+       ("retained", Json.Int (List.length spans));
+       ("reservoir", Json.Int (Ftrace.reservoir tracer));
+       ("seed", Json.Int (Ftrace.seed tracer));
+     ]
+    @ meta)
+    (fun oc ->
+      List.iter
+        (fun (keep, sp) ->
+          output_string oc (Fspan.to_json_line ~keep sp);
+          output_char oc '\n')
+        spans)
+
+type server = {
   events : Trace.event list;  (** Oldest first. *)
   truncated : bool;
   total_emitted : int;
   capacity : int;
   meta : Json.t;  (** The whole header object. *)
 }
+
+type fleet = {
+  spans : (string * Fspan.t) list;  (** [(keep_reason, span)], by req id. *)
+  offered_total : int;
+  meta : Json.t;  (** The whole header object. *)
+}
+
+type t = Server of server | Fleet of fleet
 
 let event_of_json j =
   let kind_name = Json.str_member "k" j in
@@ -77,6 +106,20 @@ let event_of_json j =
           detail = Json.str_member "x" j;
         }
 
+(* The lines after the header, each parsed and [decode]d; blank lines are
+   skipped but counted, so errors name the file line. *)
+let read_lines ~path ic decode =
+  let rec go n acc =
+    match input_line ic with
+    | exception End_of_file -> Ok (List.rev acc)
+    | "" -> go (n + 1) acc
+    | line -> (
+        match Result.bind (Json.of_string line) decode with
+        | Error msg -> Error (Printf.sprintf "%s:%d: %s" path n msg)
+        | Ok x -> go (n + 1) (x :: acc))
+  in
+  go 2 []
+
 let load ~path =
   match open_in path with
   | exception Sys_error msg -> Error msg
@@ -84,47 +127,40 @@ let load ~path =
       Fun.protect
         ~finally:(fun () -> close_in ic)
         (fun () ->
-          let parse_line n line =
-            match Json.of_string line with
-            | Error msg -> Error (Printf.sprintf "%s:%d: %s" path n msg)
-            | Ok j -> Ok j
-          in
           match input_line ic with
           | exception End_of_file -> Error (path ^ ": empty trace file")
           | first -> (
-              match parse_line 1 first with
-              | Error _ as e -> e
-              | Ok header when Json.member "jord_trace" header = None ->
-                  Error (path ^ ": not a jord trace file (missing jord_trace header)")
-              | Ok header ->
-                  let rec go n acc =
-                    match input_line ic with
-                    | exception End_of_file -> Ok (List.rev acc)
-                    | "" -> go (n + 1) acc
-                    | line -> (
-                        match parse_line n line with
-                        | Error _ as e -> e
-                        | Ok j -> (
-                            match event_of_json j with
-                            | Error msg ->
-                                Error (Printf.sprintf "%s:%d: %s" path n msg)
-                            | Ok e -> go (n + 1) (e :: acc)))
-                  in
+              match Json.of_string first with
+              | Error msg -> Error (Printf.sprintf "%s:1: %s" path msg)
+              | Ok header when Json.member "jord_fleet_trace" header <> None ->
+                  Result.map
+                    (fun spans ->
+                      Fleet
+                        {
+                          spans;
+                          offered_total = Json.int_member "offered" header;
+                          meta = header;
+                        })
+                    (read_lines ~path ic Fspan.of_json)
+              | Ok header when Json.member "jord_trace" header <> None ->
                   Result.map
                     (fun events ->
-                      {
-                        events;
-                        truncated =
-                          (match Json.member "truncated" header with
-                          | Some (Json.Bool b) -> b
-                          | _ -> false);
-                        total_emitted = Json.int_member "total_emitted" header;
-                        capacity = Json.int_member "capacity" header;
-                        meta = header;
-                      })
-                    (go 2 [])))
+                      Server
+                        {
+                          events;
+                          truncated =
+                            (match Json.member "truncated" header with
+                            | Some (Json.Bool b) -> b
+                            | _ -> false);
+                          total_emitted = Json.int_member "total_emitted" header;
+                          capacity = Json.int_member "capacity" header;
+                          meta = header;
+                        })
+                    (read_lines ~path ic event_of_json)
+              | Ok _ ->
+                  Error (path ^ ": not a jord trace file (missing jord_trace header)")))
 
-let orch_cores loaded =
+let orch_cores (loaded : server) =
   match Json.member "orch_cores" loaded.meta with
   | Some (Json.List l) ->
       List.filter_map (function Json.Int i -> Some i | _ -> None) l

@@ -12,6 +12,8 @@ module Traffic = Jord_workloads.Traffic
 module Fspan = Jord_obsv.Fspan
 module Fsampler = Jord_obsv.Fsampler
 module Ftrace = Jord_obsv.Ftrace
+module Tracefile = Jord_obsv.Tracefile
+module Freport = Jord_obsv.Freport
 module Rollup = Jord_obsv.Rollup
 module Slo = Jord_obsv.Slo
 module Sketch = Jord_telemetry.Sketch
@@ -241,6 +243,49 @@ let test_keep_rules_and_exemplars () =
         check "row exemplar retained" true (List.mem row.Rollup.r_exemplar ids))
     (Rollup.rows r)
 
+(* --- fleet trace files: save -> load -> reports --- *)
+
+let test_fleet_file_roundtrip () =
+  let _, tracer =
+    traced_run ~servers:16 ~reservoir:16 ~shape:flash_shape ~duration_us:200.0 ()
+  in
+  let meta =
+    [ ("app", Jord_util.Json.String "hipster"); ("servers", Jord_util.Json.Int 2) ]
+  in
+  let path = Filename.temp_file "jord_ftrace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Tracefile.save_fleet ~path ~meta tracer;
+      match Tracefile.load ~path with
+      | Error e -> Alcotest.fail e
+      | Ok (Tracefile.Server _) -> Alcotest.fail "loaded as a server trace"
+      | Ok (Tracefile.Fleet l) ->
+          let retained = Ftrace.retained tracer in
+          check "retained set is non-trivial" true (List.length retained > 16);
+          check "sampling dropped spans" true
+            (List.length retained < Ftrace.offered tracer);
+          check "spans and keep reasons round-trip" true (l.Tracefile.spans = retained);
+          check_int "offered" (Ftrace.offered tracer) l.Tracefile.offered_total;
+          List.iter
+            (fun (k, v) ->
+              check ("meta " ^ k) true (Jord_util.Json.member k l.Tracefile.meta = Some v))
+            meta;
+          check_int "sampler seed" (Ftrace.seed tracer)
+            (Jord_util.Json.int_member "seed" l.Tracefile.meta);
+          (* The reports read the loaded file: its census is the tracer's. *)
+          check "loaded spans conserve" true (Freport.conservation_ok l);
+          let census =
+            String.concat " "
+              (List.map
+                 (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+                 (Ftrace.keep_counts retained))
+          in
+          Alcotest.(check string) "headline census"
+            (Printf.sprintf "fleet trace: %d spans retained of %d requests (keep: %s)"
+               (List.length retained) (Ftrace.offered tracer) census)
+            (List.hd (String.split_on_char '\n' (Freport.breakdown l))))
+
 (* --- span JSONL round-trip --- *)
 
 let test_span_json_roundtrip () =
@@ -349,6 +394,8 @@ let suite =
       test_sharded_identical_traces;
     Alcotest.test_case "fleet trace: keep rules + exemplar pins" `Quick
       test_keep_rules_and_exemplars;
+    Alcotest.test_case "fleet trace file: save/load round-trip" `Quick
+      test_fleet_file_roundtrip;
     Alcotest.test_case "fspan: JSONL round-trip" `Quick test_span_json_roundtrip;
     Alcotest.test_case "sketch: exemplar slot + merge" `Quick test_sketch_exemplar;
     Alcotest.test_case "rollup: CSV round-trip" `Quick test_rollup_csv_roundtrip;

@@ -20,6 +20,13 @@ let contains needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* Load a file that must be a single-node/cluster trace. *)
+let load_server path =
+  match Tracefile.load ~path with
+  | Ok (Tracefile.Server l) -> l
+  | Ok (Tracefile.Fleet _) -> Alcotest.fail "loaded as a fleet trace"
+  | Error e -> Alcotest.fail e
+
 (* A cluster chaos run sharing one tracer across all members; returns the
    span forest plus the engine's own per-root latency measurements. *)
 let traced_chaos_run ?(servers = 3) ?(capacity = 1 lsl 17) ~config ~requests
@@ -225,20 +232,17 @@ let test_tracefile_roundtrip () =
       Tracefile.save ~path
         ~meta:[ ("variant", Jord_util.Json.String "jord") ]
         tracer;
-      match Tracefile.load ~path with
-      | Error e -> Alcotest.fail e
-      | Ok loaded ->
-          Alcotest.(check int) "all retained events round-trip"
-            (Trace.length tracer)
-            (List.length loaded.Tracefile.events);
-          Alcotest.(check bool) "events identical" true
-            (loaded.Tracefile.events = Trace.events tracer);
-          let r2 = Tracefile.spans loaded in
-          Alcotest.(check (list string)) "loaded spans still conserve" []
-            (Span.conservation_violations r2);
-          let t1, d1, x1, p1 = Span.stats r and t2, d2, x2, p2 = Span.stats r2 in
-          Alcotest.(check (list int)) "same span census" [ t1; d1; x1; p1 ]
-            [ t2; d2; x2; p2 ])
+      let loaded = load_server path in
+      Alcotest.(check int) "all retained events round-trip" (Trace.length tracer)
+        (List.length loaded.Tracefile.events);
+      Alcotest.(check bool) "events identical" true
+        (loaded.Tracefile.events = Trace.events tracer);
+      let r2 = Tracefile.spans loaded in
+      Alcotest.(check (list string)) "loaded spans still conserve" []
+        (Span.conservation_violations r2);
+      let t1, d1, x1, p1 = Span.stats r and t2, d2, x2, p2 = Span.stats r2 in
+      Alcotest.(check (list int)) "same span census" [ t1; d1; x1; p1 ]
+        [ t2; d2; x2; p2 ])
 
 (* One Perfetto writer: the document over the live ring is byte-for-byte
    the export of the same ring after a save/load round trip, and it draws
@@ -258,28 +262,54 @@ let test_chrome_live_equals_export () =
       Tracefile.save ~path
         ~meta:[ ("orch_cores", Jord_util.Json.List [ Jord_util.Json.Int 0 ]) ]
         tracer;
-      match Tracefile.load ~path with
-      | Error e -> Alcotest.fail e
-      | Ok l ->
-          Alcotest.(check string) "live = exported" live
-            (Jord_obsv.Export.chrome_json ~orch_cores:(Tracefile.orch_cores l)
-               ~events:l.Tracefile.events (Tracefile.spans l)));
+      let l = load_server path in
+      Alcotest.(check string) "live = exported" live
+        (Jord_obsv.Export.chrome_json ~orch_cores:(Tracefile.orch_cores l)
+           ~events:l.Tracefile.events (Tracefile.spans l)));
   Alcotest.(check bool) "spawn flows" true (contains "\"name\":\"spawn\"" live);
   Alcotest.(check bool) "hop flows" true (contains "\"name\":\"hop\"" live)
 
-let test_load_rejects_garbage () =
+let with_file contents f =
   let path = Filename.temp_file "jord_trace" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      output_string oc "{\"not\":\"a trace\"}\n";
+      output_string oc contents;
       close_out oc;
-      match Tracefile.load ~path with
-      | Ok _ -> Alcotest.fail "missing header must be rejected"
-      | Error e ->
-          Alcotest.(check bool) "error names the problem" true
-            (contains "jord_trace" e))
+      f path)
+
+(* One loader for both kinds: the header key picks the kind, and every
+   rejection names the file (and the line, for a malformed one). *)
+let test_load_rejects_garbage () =
+  let rejected ~what contents needle =
+    with_file contents (fun path ->
+        match Tracefile.load ~path with
+        | Ok _ -> Alcotest.failf "%s must be rejected" what
+        | Error e ->
+            Alcotest.(check bool) (what ^ ": error names the problem") true
+              (contains needle e);
+            Alcotest.(check bool) (what ^ ": error names the file") true
+              (contains path e))
+  in
+  rejected ~what:"missing header" "{\"not\":\"a trace\"}\n" "jord_trace";
+  rejected ~what:"empty file" "" "empty trace file";
+  rejected ~what:"non-JSON header" "hello\n" ":1: ";
+  (* Blank lines are skipped but still counted. *)
+  rejected ~what:"bad event kind" "{\"jord_trace\":1}\n\n{\"a\":1,\"k\":\"nope\"}\n"
+    ":3: unknown event kind";
+  rejected ~what:"malformed fleet span" "{\"jord_fleet_trace\":1}\n{\"r\":1\n" ":2: ";
+  let kind contents =
+    with_file contents (fun path ->
+        match Tracefile.load ~path with
+        | Ok (Tracefile.Server _) -> "server"
+        | Ok (Tracefile.Fleet _) -> "fleet"
+        | Error e -> e)
+  in
+  Alcotest.(check string) "jord_trace header loads as Server" "server"
+    (kind "{\"jord_trace\":1,\"total_emitted\":0,\"capacity\":8,\"truncated\":false}\n");
+  Alcotest.(check string) "jord_fleet_trace header loads as Fleet" "fleet"
+    (kind "{\"jord_fleet_trace\":1,\"offered\":0,\"retained\":0}\n")
 
 let suite =
   [

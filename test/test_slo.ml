@@ -579,7 +579,8 @@ let test_alert_events_roundtrip_tracefile () =
       Jord_obsv.Tracefile.save ~path tracer;
       match Jord_obsv.Tracefile.load ~path with
       | Error e -> Alcotest.fail e
-      | Ok loaded ->
+      | Ok (Jord_obsv.Tracefile.Fleet _) -> Alcotest.fail "loaded as a fleet trace"
+      | Ok (Jord_obsv.Tracefile.Server loaded) ->
           Alcotest.(check bool) "alert events survive the round-trip" true
             (loaded.Jord_obsv.Tracefile.events = Trace.events tracer))
 
